@@ -10,9 +10,10 @@ Subcommands
 
 Every numeric output is JSON with 17-significant-digit decimals, so repeated
 runs with identical flags are byte-identical.  When --out is given, a run
-manifest (command, inputs, outputs, tool version, timestamp, tolerances) is
-written alongside the output file; the timestamp is the only field excluded
-from reproducibility guarantees.
+manifest (command, inputs, outputs, tool version, timestamp, tolerances and,
+for optimize, run statistics) is written alongside the output file; the
+timestamp and the statistics' wall time are the only fields excluded from
+reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted, 5 verification failure.
@@ -26,6 +27,7 @@ import io
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -154,8 +156,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help='"paper", "yu-like", "random", or a params JSON path',
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--grad-tol", type=float, default=None)
+    p.add_argument(
+        "--max-iter", type=int, default=None, help="cap on trust-region Newton iterations"
+    )
+    p.add_argument(
+        "--grad-tol",
+        type=float,
+        default=None,
+        help="converged when the projected-gradient infinity norm is below this",
+    )
     p.add_argument(
         "--checkpoint",
         type=int,
@@ -260,16 +269,19 @@ def _parse_count(text: str, what: str) -> int:
     return value
 
 
-def _emit(args, obj, tolerances: dict | None = None) -> None:
-    """Print the JSON result; mirror it to --out plus a manifest if asked."""
+def _emit(args, obj, tolerances: dict | None = None, stats: dict | None = None) -> None:
+    """Print the JSON result; mirror it to --out plus a manifest if asked.
+
+    stats (run statistics) go to the manifest only, never to stdout.
+    """
     text = jsonutil.dumps(obj)
     sys.stdout.write(text)
     if args.out:
         jsonutil.write_text_atomic(args.out, text)
-        _write_manifest(args, [args.out], tolerances or {})
+        _write_manifest(args, [args.out], tolerances or {}, stats)
 
 
-def _write_manifest(args, outputs, tolerances) -> None:
+def _write_manifest(args, outputs, tolerances, stats=None) -> None:
     skip = {"func", "config", "out", "command"}
     inputs = {
         k: v
@@ -284,6 +296,8 @@ def _write_manifest(args, outputs, tolerances) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tolerances": tolerances,
     }
+    if stats is not None:
+        manifest["stats"] = stats
     jsonutil.write_text_atomic(args.out + ".manifest.json", jsonutil.dumps(manifest))
 
 
@@ -357,6 +371,7 @@ def cmd_optimize(args, config) -> int:
         if not args.out:
             raise InputError("--checkpoint requires --checkpoint-path or --out")
         checkpoint_path = args.out + ".checkpoint.json"
+    start = time.perf_counter()
     result = optimize(
         args.m,
         init,
@@ -367,6 +382,7 @@ def cmd_optimize(args, config) -> int:
         checkpoint_path=checkpoint_path,
         resume=args.resume,
     )
+    wall_s = time.perf_counter() - start
     obj = jsonutil.params_to_obj(
         result.params,
         extra={
@@ -376,7 +392,13 @@ def cmd_optimize(args, config) -> int:
             "converged": result.converged,
         },
     )
-    _emit(args, obj, tolerances={"grad_tol": grad_tol})
+    stats = {
+        "stop_reason": result.stop_reason,
+        "iterations": result.iterations,
+        "pg_norm": result.pg_norm,
+        "wall_s": wall_s,
+    }
+    _emit(args, obj, tolerances={"grad_tol": grad_tol}, stats=stats)
     return EXIT_OK
 
 

@@ -164,6 +164,26 @@ def test_optimize_resume_roundtrip(tmp_path):
     assert obj["rho"] == pytest.approx(fresh["rho"], rel=1e-9)
 
 
+def test_optimize_manifest_stats(tmp_path):
+    out = str(tmp_path / "opt.json")
+    proc = run_cli("optimize", "--m", "5", "--out", out)
+    assert proc.returncode == 0
+    # run statistics go to the manifest; the stdout keys stay as they were
+    assert list(json.loads(proc.stdout)) == [
+        "M", "y", "c", "rho", "constant", "iterations", "converged",
+    ]
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    assert stats["stop_reason"] == "converged"
+    assert stats["pg_norm"] < 1e-10
+    assert stats["iterations"] == json.loads(proc.stdout)["iterations"] > 0
+    assert stats["wall_s"] > 0
+    run_cli("optimize", "--m", "5", "--max-iter", "2", "--out", out)
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    assert stats["stop_reason"] == "max_iter" and stats["iterations"] == 2
+
+
 def test_optimize_init_from_params_file(tmp_path):
     out = str(tmp_path / "seed.json")
     run_cli("optimize", "--m", "4", "--out", out)

@@ -16,7 +16,15 @@ from b2gbounds import (
     optimize,
     to_series,
 )
-from b2gbounds.family import BOX_EPS, REF_C, REF_Y, _pack, rho_and_grad
+from b2gbounds.family import (
+    BOX_EPS,
+    REF_C,
+    REF_Y,
+    _pack,
+    _trust_region_step,
+    rho_and_grad,
+    rho_grad_hess,
+)
 from b2gbounds.series import integral_i1, integral_i2, kernel_s, ratio_rho
 
 
@@ -67,6 +75,82 @@ def test_gradient_matches_central_differences(rng):
                 fd = -fd
                 scale = max(1.0, abs(grad[i]))
                 assert abs(grad[i] - fd) < 1e-5 * scale, (m, i)
+
+
+def test_rho_grad_hess_gradient_matches_rho_and_grad(rng):
+    for m in (0, 1, 5, 20, 60):
+        params = initial_params(m, "random", seed=int(rng.integers(1 << 30)))
+        x = _pack(params)
+        rho, grad = rho_and_grad(x, m)
+        rho_h, grad_h, hess = rho_grad_hess(x, m)
+        assert rho_h == rho
+        assert np.max(np.abs(grad_h - grad)) <= 1e-12 * np.max(np.abs(grad))
+        assert hess.shape == (2 * m + 1, 2 * m + 1)
+
+
+def test_hessian_matches_central_differences(rng):
+    # each column against central differences of the analytic gradient
+    h = 1e-6
+    worst = 0.0
+    for m in (1, 5, 20):
+        for _ in range(5):
+            params = initial_params(m, "random", seed=int(rng.integers(1 << 30)))
+            x = _pack(params)
+            _, _, hess = rho_grad_hess(x, m)
+            fd = np.empty_like(hess)
+            for i in range(len(x)):
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                fd[:, i] = (rho_and_grad(xp, m)[1] - rho_and_grad(xm, m)[1]) / (2 * h)
+            worst = max(worst, float(np.max(np.abs(hess - fd))))
+            assert np.max(np.abs(hess - hess.T)) <= 1e-15
+    assert worst < 1e-9, worst
+
+
+def _subproblem_value(g, hmat, p):
+    return float(g @ p + 0.5 * p @ hmat @ p)
+
+
+def test_trust_region_step_is_exact(rng):
+    # optimality conditions of Moré & Sorensen: (H + sigma I) p = -g with
+    # H + sigma I positive semidefinite, sigma >= 0, sigma (delta - |p|) = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        a = rng.standard_normal((n, n))
+        hmat = a + a.T
+        g = rng.standard_normal(n)
+        delta = float(rng.uniform(0.05, 3.0))
+        lam, q = np.linalg.eigh(hmat)
+        p = _trust_region_step(lam, q, g, delta)
+        norm = np.linalg.norm(p)
+        assert norm <= delta * (1 + 1e-9)
+        residual = hmat @ p + g
+        if norm < delta * (1 - 1e-9):
+            assert lam[0] > 0 and np.linalg.norm(residual) < 1e-9
+            continue
+        sigma = -float(residual @ p) / float(p @ p)
+        assert sigma >= -1e-9 and lam[0] + sigma >= -1e-9
+        assert np.linalg.norm(residual + sigma * p) < 1e-7 * (1 + np.linalg.norm(g))
+        # no sampled point of the ball does better
+        best = _subproblem_value(g, hmat, p)
+        for _ in range(50):
+            v = rng.standard_normal(n)
+            v *= delta * rng.uniform() ** (1 / n) / np.linalg.norm(v)
+            assert best <= _subproblem_value(g, hmat, v) + 1e-12
+
+
+def test_trust_region_step_hard_case():
+    # g has no component on the negative-curvature direction e_0, and the
+    # Newton-like step on the rest is shorter than delta: the step must be
+    # completed along e_0 to the boundary
+    hmat = np.diag([-1.0, 2.0])
+    g = np.array([0.0, 1.0])
+    lam, q = np.linalg.eigh(hmat)
+    p = _trust_region_step(lam, q, g, 2.0)
+    assert np.linalg.norm(p) == pytest.approx(2.0, rel=1e-12)
+    assert p[1] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert abs(p[0]) == pytest.approx(math.sqrt(4.0 - 1.0 / 9.0), rel=1e-12)
 
 
 def test_gradient_api_ordering():
@@ -191,6 +275,35 @@ def test_initial_params_variants():
         initial_params(3, "unknown-mode")
     with pytest.raises(ValidationError):
         initial_params(-1, "paper")
+
+
+@pytest.mark.parametrize("m", [50, 100, 200])
+def test_paper_start_converges(m):
+    result = optimize(m, "paper")
+    assert result.converged and result.stop_reason == "converged"
+    assert result.pg_norm < 1e-10
+    if m == 200:
+        assert result.constant == pytest.approx(1.7407029228867967, abs=5e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_starts_reach_m50_optimum(seed):
+    # seed 5 once ended with one c stuck at its lower bound, 4e-6 too high
+    result = optimize(50, "random", seed=seed)
+    assert result.converged
+    assert result.constant == pytest.approx(1.7421173433534605, abs=5e-9)
+
+
+def test_stop_reasons_are_reported():
+    result = optimize(5, "yu-like", max_iter=2)
+    assert result.iterations == 2
+    assert result.stop_reason == "max_iter" and not result.converged
+    assert result.pg_norm >= 1e-10
+    # a tolerance no iterate can meet ends once the trust radius cannot
+    # move x, not after max_iter Hessian evaluations
+    result = optimize(5, "yu-like", grad_tol=0.0)
+    assert result.stop_reason == "stalled" and not result.converged
+    assert result.iterations < 100
 
 
 def test_regression_m50_frozen_value():

@@ -30,7 +30,11 @@ from b2gbounds import (
     summarize,
 )
 from b2gbounds.series import (
+    D2SINC_CUT,
+    DSINC_CUT,
     coefficient_decay_bound,
+    d2sinc,
+    dsinc,
     kernel_s,
     parseval_tail_bound,
     reconstruction_tail_bound,
@@ -50,6 +54,21 @@ def test_sinc_matches_mpmath_across_branch():
     for x in xs:
         exact = float(mpmath.sinc(mpmath.mpf(x)))
         assert sinc(x) == pytest.approx(exact, rel=1e-15, abs=1e-15)
+
+
+def test_sinc_derivatives_match_mpmath_across_branch():
+    mpmath.mp.dps = 40
+    # both sides of each Taylor/direct switch, plus points well inside each
+    # branch; near the old cut 1e-2 the direct form lost 3.7e-12
+    cases = ((dsinc, 1, DSINC_CUT, 5e-14), (d2sinc, 2, D2SINC_CUT, 1e-13))
+    for fn, order, cut, tol in cases:
+        xs = [1e-9, 3e-6, 0.0101, 0.03, 0.1, 0.5 * cut, 0.99 * cut, 0.999999 * cut]
+        xs += [cut, 1.000001 * cut, 1.01 * cut, 1.5 * cut, 0.7, 1.3, 3.0, 31.4]
+        for x in xs + [-v for v in xs]:
+            exact = float(mpmath.diff(mpmath.sinc, mpmath.mpf(x), order))
+            assert fn(x) == pytest.approx(exact, rel=tol, abs=0.0), (order, x)
+    assert dsinc(0.0) == 0.0
+    assert d2sinc(0.0) == pytest.approx(-1.0 / 3.0, rel=1e-16)
 
 
 def test_kernel_s_matches_quadrature():
