@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker pool size (default: B2G_THREADS or all cores)",
+            help="worker count, validated as an integer >= 1 (default: "
+            "B2G_THREADS or all cores); no effect, the search is sequential",
         )
 
     p = sub.add_parser("analyze", help="functionals of a series file")
@@ -239,6 +240,7 @@ def _resolve(flag_value, config, key, default, cast):
 
 
 def _threads(args, config) -> int:
+    """The validated --threads value; every search runs sequentially."""
     value = _resolve(args.threads, config, "threads", None, int)
     if value is None:
         env = os.environ.get("B2G_THREADS")
@@ -405,8 +407,11 @@ def cmd_optimize(args, config) -> int:
 def cmd_search(args, config) -> int:
     n = _parse_count(args.n, "--n")
     threads = _threads(args, config)
+    stats = {}
+    start = time.perf_counter()
     if args.table:
-        rows = f_table([args.g], n, threads=threads)
+        rows = f_table([args.g], n, threads=threads, stats=stats)
+        stats["wall_s"] = time.perf_counter() - start
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["g", "N", "F", "witness"])
@@ -415,16 +420,19 @@ def cmd_search(args, config) -> int:
         sys.stdout.write(buf.getvalue())
         if args.out:
             jsonutil.write_text_atomic(args.out, buf.getvalue())
-            _write_manifest(args, [args.out], {})
+            _write_manifest(args, [args.out], {}, stats)
         return EXIT_OK
-    size, witness = exhaustive_f(args.g, n, budget=args.budget, threads=threads)
+    size, witness = exhaustive_f(
+        args.g, n, budget=args.budget, threads=threads, stats=stats
+    )
+    stats["wall_s"] = time.perf_counter() - start
     obj = {
         "g": args.g,
         "n": n,
         "F": size,
         "witness": jsonutil.intset_to_obj(witness),
     }
-    _emit(args, obj)
+    _emit(args, obj, stats=stats)
     return EXIT_OK
 
 

@@ -12,17 +12,18 @@ over 2N points folds the difference residues +N and -N together, which adds a
 wraparound term absent from the pure solution count.  The bound pipeline
 consumes s_dft, which for every B2[g] set satisfies s_dft <= (2g-1) |A|^2.
 
-F(g, N), the largest B2[g] subset of [0, N], is computed by depth-first
-branch and bound over increasing elements with incremental pairwise-sum
-counts.  Determinism: ties are broken toward the lexicographically smallest
-maximal witness, in both sequential and threaded modes.
+F(g, N), the largest B2[g] subset of [0, N], is computed by one sequential
+depth-first branch and bound over increasing elements with incremental
+pairwise-sum counts.  The rows F(g, 0), F(g, 1), ... are built in turn, and
+each row prunes with the ones before it: the elements >= x of a B2[g] set,
+shifted down by x, are a B2[g] set in [0, N - x].  Ties are broken toward the
+lexicographically smallest maximal witness.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,24 +63,49 @@ class DiffProfile:
     counts: dict
 
 
-def _sum_counts(elems, g):
-    """Pairwise-sum multiplicities (a <= b), or None at the first count > g."""
-    counts = {}
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            s = a + b
-            c = counts.get(s, 0) + 1
-            if c > g:
-                return None
-            counts[s] = c
-    return counts
+class _SumCounts:
+    """A set grown in increasing order, with its pairwise-sum multiplicities.
+
+    counts[s] is the number of pairs a <= b in the set with a + b = s: a list
+    indexed by s in the searches, a defaultdict for an arbitrary set.
+    """
+
+    __slots__ = ("g", "counts", "elems")
+
+    def __init__(self, g, counts):
+        self.g = g
+        self.counts = counts
+        self.elems = []
+
+    def push(self, x) -> bool:
+        """Add x, unless some sum would then have more than g representations."""
+        counts, g = self.counts, self.g
+        if counts[2 * x] >= g:
+            return False
+        for a in self.elems:
+            if counts[a + x] >= g:
+                return False
+        for a in self.elems:
+            counts[a + x] += 1
+        counts[2 * x] += 1
+        self.elems.append(x)
+        return True
+
+    def pop(self) -> None:
+        """Undo the last successful push."""
+        x = self.elems.pop()
+        counts = self.counts
+        for a in self.elems:
+            counts[a + x] -= 1
+        counts[2 * x] -= 1
 
 
 def is_b2g(a: IntSet, g: int) -> bool:
     """True iff every integer has at most g representations a+b, a <= b."""
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
-    return _sum_counts(a.elems, g) is not None
+    state = _SumCounts(g, defaultdict(int))
+    return all(state.push(x) for x in a.elems)
 
 
 def diff_profile(a: IntSet) -> DiffProfile:
@@ -142,153 +168,107 @@ def enumerate_b2g(g: int, n: int):
         raise ValidationError(f"g must be >= 1, got {g}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    sums = [0] * (2 * n + 1)
-    cur = []
+    state = _SumCounts(g, [0] * (2 * n + 1))
 
     def dfs(start):
-        yield tuple(cur)
+        yield tuple(state.elems)
         for x in range(start, n + 1):
-            ok = True
-            for a in cur:
-                if sums[a + x] + 1 > g:
-                    ok = False
-                    break
-            if ok and sums[2 * x] + 1 > g:
-                ok = False
-            if ok:
-                for a in cur:
-                    sums[a + x] += 1
-                sums[2 * x] += 1
-                cur.append(x)
+            if state.push(x):
                 yield from dfs(x + 1)
-                cur.pop()
-                for a in cur:
-                    sums[a + x] -= 1
-                sums[2 * x] -= 1
+                state.pop()
 
     yield from dfs(0)
 
 
-class _Shared:
-    """Search-wide best-so-far and node budget, shared across workers."""
-
-    __slots__ = ("best", "best_wit", "nodes", "budget", "lock")
-
-    def __init__(self, budget):
-        self.best = 1
-        self.best_wit = (0,)
-        self.nodes = 0
-        self.budget = math.inf if budget is None else int(budget)
-        self.lock = threading.Lock()
-
-
 class _BudgetHit(Exception):
-    pass
+    """Node budget reached; args: best size, its witness, nodes visited."""
 
 
-def _subtree_best(g, n, prefix, shared):
-    """Best (size, witness) in the subtree rooted at prefix, lex-first ties.
+def _search_row(g, n, sizes, nodes, limit):
+    """F(g, n), its lex-first maximal witness and the running node count.
 
-    Prunes a branch only when it cannot reach max(local best + 1, shared
-    best): branches that can merely tie the shared best must survive so the
-    lexicographic tie-break stays exact under concurrency.
+    sizes[m] = F(g, m) for every m < n.  Every extension of cur by elements
+    >= x has at most len(cur) + F(g, n - x) elements, and F(g, n - 1) + 1
+    caps F(g, n) itself.  The cap cannot grow with x, so the first
+    candidate that cannot beat the best ends the loop.  Prefixes are visited
+    in lexicographic order and the best is replaced only on a strict gain,
+    so the first maximal set found is the lexicographically smallest.
     """
-    sums = [0] * (2 * n + 1)
-    cur = list(prefix)
-    for i, a in enumerate(cur):
-        for b in cur[i:]:
-            sums[a + b] += 1
-    local_size = len(cur)
-    local_wit = tuple(cur)
+    cap = sizes + [sizes[-1] + 1 if sizes else 1]
+    state = _SumCounts(g, [0] * (2 * n + 1))
+    cur = state.elems
+    best, best_wit = 1, (0,)  # {0}: the lex-smallest set of size 1
 
     def dfs(start):
-        nonlocal local_size, local_wit
-        with shared.lock:
-            shared.nodes += 1
-            if shared.nodes > shared.budget:
-                raise _BudgetHit()
-            if local_size > shared.best:
-                shared.best = local_size
-                shared.best_wit = local_wit
-            threshold = max(local_size, shared.best - 1)
+        nonlocal nodes, best, best_wit
+        nodes += 1
+        if nodes > limit:
+            raise _BudgetHit(best, best_wit, nodes)
+        size = len(cur)
+        if size > best:
+            best, best_wit = size, tuple(cur)
         for x in range(start, n + 1):
-            if len(cur) + 1 + (n - x) <= threshold:
-                break  # caps shrink with x, nothing further can matter
-            ok = True
-            for a in cur:
-                if sums[a + x] + 1 > g:
-                    ok = False
-                    break
-            if ok and sums[2 * x] + 1 > g:
-                ok = False
-            if not ok:
-                continue
-            for a in cur:
-                sums[a + x] += 1
-            sums[2 * x] += 1
-            cur.append(x)
-            if len(cur) > local_size:
-                local_size = len(cur)
-                local_wit = tuple(cur)
-            dfs(x + 1)
-            cur.pop()
-            for a in cur:
-                sums[a + x] -= 1
-            sums[2 * x] -= 1
+            if size + cap[n - x] <= best:
+                break
+            if state.push(x):
+                dfs(x + 1)
+                state.pop()
 
-    dfs(cur[-1] + 1 if cur else 0)
-    return local_size, local_wit
+    dfs(0)
+    return best, best_wit, nodes
 
 
-def exhaustive_f(
-    g: int, n: int, budget: int | None = None, threads: int = 1
-) -> tuple[int, IntSet]:
-    """Exact F(g, N) with a witness of maximal size.
+def _f_rows(g, n_max, budget=None):
+    """Lists of F(g, N) and witnesses for N = 0..n_max, and the nodes visited.
 
-    Branch and bound over increasing elements with incremental sum counts.
-    budget caps the number of visited nodes; exceeding it raises BudgetError
-    carrying the best size found so far (a lower bound, explicitly not
-    exact).  The returned witness is the lexicographically smallest maximal
-    one regardless of threads.
+    budget caps the nodes of the whole table; exceeding it raises
+    BudgetError with the largest set found so far, a B2[g] subset of
+    [0, n_max] whose size is a lower bound, explicitly not exact.
     """
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
+    limit = math.inf if budget is None else int(budget)
+    sizes, witnesses, nodes = [], [], 0
+    for n in range(n_max + 1):
+        try:
+            size, wit, nodes = _search_row(g, n, sizes, nodes, limit)
+        except _BudgetHit as hit:
+            size, wit, nodes = hit.args
+            if sizes and sizes[-1] > size:
+                size, wit = sizes[-1], witnesses[-1]
+            raise BudgetError(
+                f"node budget {budget} exhausted at F({g},{n_max}) >= {size}; "
+                f"best-so-far is a lower bound, NOT exact",
+                size=size,
+                witness=IntSet(elems=wit, n=n_max),
+                nodes=nodes,
+            ) from None
+        sizes.append(size)
+        witnesses.append(wit)
+    return sizes, witnesses, nodes
+
+
+def exhaustive_f(
+    g: int,
+    n: int,
+    budget: int | None = None,
+    threads: int = 1,
+    stats: dict | None = None,
+) -> tuple[int, IntSet]:
+    """Exact F(g, N) with the lexicographically smallest maximal witness.
+
+    Builds the rows F(g, 0..N) by sequential branch and bound (see
+    _search_row).  budget caps the nodes visited over all rows; exceeding
+    it raises BudgetError carrying the best set found so far.  threads is
+    accepted for compatibility and has no effect.  If stats is a dict, its
+    "nodes" entry receives the number of nodes visited.
+    """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    shared = _Shared(budget)
-    best = (1, (0,))  # singleton {0}: lex-smallest set of size 1
-    prefixes = [(x1, x2) for x1 in range(n + 1) for x2 in range(x1 + 1, n + 1)]
-
-    def better(cand, cur):
-        return cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1])
-
-    try:
-        if threads <= 1 or not prefixes:
-            for prefix in prefixes:
-                cand = _subtree_best(g, n, prefix, shared)
-                if better(cand, best):
-                    best = cand
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(
-                    lambda p: _subtree_best(g, n, p, shared), prefixes
-                )
-                # reduction in prefix (lex) order keeps ties deterministic
-                for cand in results:
-                    if better(cand, best):
-                        best = cand
-    except _BudgetHit:
-        partial = (shared.best, shared.best_wit)
-        if better(partial, best):
-            best = partial
-        raise BudgetError(
-            f"node budget {budget} exhausted at F({g},{n}) >= {best[0]}; "
-            f"best-so-far is a lower bound, NOT exact",
-            size=best[0],
-            witness=IntSet(elems=best[1], n=n),
-            nodes=shared.nodes,
-        ) from None
-    return best[0], IntSet(elems=best[1], n=n)
+    sizes, witnesses, nodes = _f_rows(g, n, budget)
+    if stats is not None:
+        stats["nodes"] = nodes
+    return sizes[-1], IntSet(elems=witnesses[-1], n=n)
 
 
 def greedy_lower(g: int, n: int) -> IntSet:
@@ -297,25 +277,25 @@ def greedy_lower(g: int, n: int) -> IntSet:
         raise ValidationError(f"g must be >= 1, got {g}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    sums = [0] * (2 * n + 1)
-    chosen = []
+    state = _SumCounts(g, [0] * (2 * n + 1))
     for x in range(n + 1):
-        if any(sums[a + x] + 1 > g for a in chosen) or sums[2 * x] + 1 > g:
-            continue
-        for a in chosen:
-            sums[a + x] += 1
-        sums[2 * x] += 1
-        chosen.append(x)
-    return IntSet(elems=tuple(chosen), n=n)
+        state.push(x)
+    return IntSet(elems=tuple(state.elems), n=n)
 
 
-def f_table(g_values, n_max: int, threads: int = 1):
-    """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max."""
-    rows = []
+def f_table(g_values, n_max: int, threads: int = 1, stats: dict | None = None):
+    """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max.
+
+    One table search per g, as in exhaustive_f; threads has no effect, and
+    a stats dict receives the total "nodes" visited.
+    """
+    rows, nodes = [], 0
     for g in g_values:
-        for n in range(n_max + 1):
-            size, wit = exhaustive_f(g, n, threads=threads)
-            rows.append((g, n, size, wit.elems))
+        sizes, witnesses, g_nodes = _f_rows(g, n_max)
+        rows.extend((g, n, *row) for n, row in enumerate(zip(sizes, witnesses)))
+        nodes += g_nodes
+    if stats is not None:
+        stats["nodes"] = nodes
     return rows
 
 

@@ -125,6 +125,32 @@ def test_search_exact_and_budget(tmp_path):
     assert "lower bound" in proc.stderr
 
 
+def test_search_manifest_stats(tmp_path):
+    from b2gbounds import exhaustive_f, f_table
+
+    out = str(tmp_path / "search.json")
+    plain = run_cli("search", "--g", "2", "--n", "14")
+    proc = run_cli("search", "--g", "2", "--n", "14", "--out", out)
+    assert proc.returncode == 0
+    # run statistics go to the manifest; stdout stays byte-identical
+    assert proc.stdout == plain.stdout
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    expected = {}
+    exhaustive_f(2, 14, stats=expected)
+    assert stats["nodes"] == expected["nodes"] > 0
+    assert stats["wall_s"] > 0
+    out = str(tmp_path / "table.csv")
+    plain = run_cli("search", "--g", "1", "--n", "12", "--table")
+    proc = run_cli("search", "--g", "1", "--n", "12", "--table", "--out", out)
+    assert proc.returncode == 0 and proc.stdout == plain.stdout
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    f_table([1], 12, stats=expected)
+    assert stats["nodes"] == expected["nodes"] > 0
+    assert stats["wall_s"] > 0
+
+
 def test_search_table_csv():
     proc = run_cli("search", "--g", "1", "--n", "7", "--table")
     assert proc.returncode == 0

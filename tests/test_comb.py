@@ -130,6 +130,32 @@ def test_exhaustive_matches_enumeration_oracle():
             assert wit.elems == lex_first, (g, n)
 
 
+# Optimal Golomb ruler lengths G(k) for k = 1..9 marks (OEIS A003022).
+GOLOMB_LENGTHS = (0, 1, 3, 6, 11, 17, 25, 34, 44)
+
+
+def test_f_table_matches_golomb_rulers():
+    # a Sidon set in [0, N] is a Golomb ruler of length <= N, so F(1, N) is
+    # the largest k with G(k) <= N
+    stats = {}
+    rows = f_table([1], 44, stats=stats)
+    assert [n for _, n, _, _ in rows] == list(range(45))
+    for g, n, size, wit in rows:
+        assert size == sum(length <= n for length in GOLOMB_LENGTHS), n
+        assert len(wit) == size and is_b2g(IntSet(wit, n), 1), (n, wit)
+    assert stats["nodes"] > 0
+
+
+def test_f_table_matches_enumeration_oracle():
+    rows = f_table([1, 2, 3], 11)
+    assert len(rows) == 36
+    for g, n, size, wit in rows:
+        sets = list(enumerate_b2g(g, n))
+        best_size = max(len(s) for s in sets)
+        assert size == best_size, (g, n)
+        assert wit == min(s for s in sets if len(s) == best_size), (g, n)
+
+
 def test_known_sidon_values():
     # perfect difference rulers: F(1, N) along classical milestones
     for n, f in [(3, 3), (6, 4), (11, 5), (17, 6), (25, 7)]:
@@ -152,6 +178,19 @@ def test_budget_error_carries_lower_bound():
     assert err.size == err.witness.size >= 1
     assert is_b2g(err.witness, 2)
     assert "NOT exact" in str(err)
+    # the budget counts every node, the smaller rows of the bound included,
+    # and the witness is the best set found so far, inside [0, 14]
+    assert err.nodes == 51
+    assert err.witness.n == 14
+    stats = {}
+    exact, _ = exhaustive_f(2, 14, stats=stats)
+    assert stats["nodes"] > 50
+    assert err.size <= exact
+    with pytest.raises(BudgetError) as info:
+        exhaustive_f(2, 14, budget=stats["nodes"] - 1)
+    assert info.value.nodes == stats["nodes"]
+    assert is_b2g(info.value.witness, 2) and info.value.witness.n == 14
+    assert exhaustive_f(2, 14, budget=stats["nodes"])[0] == exact
 
 
 def test_budget_large_enough_is_silent():
