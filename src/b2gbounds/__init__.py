@@ -58,7 +58,6 @@ from .series import (
     asymptotic_constant,
     curvature_bound,
     eval_w,
-    fourier_a,
     fourier_coefficients,
     integral_i1,
     integral_i2,
@@ -97,7 +96,6 @@ __all__ = [
     "exhaustive_f",
     "f_table",
     "finite_majorant",
-    "fourier_a",
     "fourier_coefficients",
     "gradient",
     "greedy_lower",

@@ -11,9 +11,9 @@ Subcommands
 Every numeric output is JSON with 17-significant-digit decimals, so repeated
 runs with identical flags are byte-identical.  When --out is given, a run
 manifest (command, inputs, outputs, tool version, timestamp, tolerances and,
-for optimize, run statistics) is written alongside the output file; the
-timestamp and the statistics' wall time are the only fields excluded from
-reproducibility guarantees.
+for optimize and search, run statistics) is written alongside the output
+file; the timestamp and the statistics' wall time are the only fields
+excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted, 5 verification failure.
@@ -107,13 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value defaults file; flags win")
         p.add_argument("--out", help="write the JSON result to this path")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker count, validated as an integer >= 1 (default: "
-            "B2G_THREADS or all cores); no effect, the search is sequential",
-        )
 
     p = sub.add_parser("analyze", help="functionals of a series file")
     p.add_argument("series_file")
@@ -166,15 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="converged when the projected-gradient infinity norm is below this",
     )
-    p.add_argument(
-        "--checkpoint",
-        type=int,
-        default=0,
-        metavar="EVERY",
-        help="write a resumable checkpoint every EVERY iterations",
-    )
-    p.add_argument("--checkpoint-path")
-    p.add_argument("--resume", help="params/checkpoint JSON to start from")
     common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -237,23 +221,6 @@ def _resolve(flag_value, config, key, default, cast):
         except ValueError as exc:
             raise InputError(f"config key {key}={config[key]!r}: {exc}") from exc
     return default
-
-
-def _threads(args, config) -> int:
-    """The validated --threads value; every search runs sequentially."""
-    value = _resolve(args.threads, config, "threads", None, int)
-    if value is None:
-        env = os.environ.get("B2G_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise InputError(f"B2G_THREADS={env!r} is not an integer") from exc
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise InputError(f"threads must be >= 1, got {value}")
-    return value
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -368,21 +335,9 @@ def cmd_optimize(args, config) -> int:
         init.endswith(".json") or os.path.exists(init)
     ):
         init = jsonutil.load_params(init)
-    checkpoint_path = args.checkpoint_path
-    if args.checkpoint > 0 and not checkpoint_path:
-        if not args.out:
-            raise InputError("--checkpoint requires --checkpoint-path or --out")
-        checkpoint_path = args.out + ".checkpoint.json"
     start = time.perf_counter()
     result = optimize(
-        args.m,
-        init,
-        max_iter=max_iter,
-        grad_tol=grad_tol,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint,
-        checkpoint_path=checkpoint_path,
-        resume=args.resume,
+        args.m, init, max_iter=max_iter, grad_tol=grad_tol, seed=args.seed
     )
     wall_s = time.perf_counter() - start
     obj = jsonutil.params_to_obj(
@@ -406,11 +361,10 @@ def cmd_optimize(args, config) -> int:
 
 def cmd_search(args, config) -> int:
     n = _parse_count(args.n, "--n")
-    threads = _threads(args, config)
     stats = {}
     start = time.perf_counter()
     if args.table:
-        rows = f_table([args.g], n, threads=threads, stats=stats)
+        rows = f_table([args.g], n, stats=stats)
         stats["wall_s"] = time.perf_counter() - start
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -422,9 +376,7 @@ def cmd_search(args, config) -> int:
             jsonutil.write_text_atomic(args.out, buf.getvalue())
             _write_manifest(args, [args.out], {}, stats)
         return EXIT_OK
-    size, witness = exhaustive_f(
-        args.g, n, budget=args.budget, threads=threads, stats=stats
-    )
+    size, witness = exhaustive_f(args.g, n, budget=args.budget, stats=stats)
     stats["wall_s"] = time.perf_counter() - start
     obj = {
         "g": args.g,
@@ -545,14 +497,14 @@ def suite_lemmas(seed, nmax=14):
     return checks
 
 
-def suite_bounds(seed, threads=1):
+def suite_bounds(seed):
     checks = []
     suite = [
         ("single term 3/4", CosineSeries([(1.0, 0.75)])),
         ("yu truncated", yu_series(YuParams(0.75, 10))),
         ("family paper prefix", to_series(initial_params(8, "paper"))),
     ]
-    table = f_table([1, 2], 16, threads=threads)
+    table = f_table([1, 2], 16)
     sound_bad = []
     for name, series in suite:
         for g, n_val, size, _ in table:
@@ -597,11 +549,12 @@ def suite_bounds(seed, threads=1):
 def cmd_verify(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", 0, int)
     nmax = _resolve(args.nmax, config, "nmax", 14, int)
-    threads = _threads(args, config)
+    if nmax < 1:
+        raise InputError(f"--nmax must be >= 1, got {nmax}")
     suites = {
         "identities": lambda: suite_identities(seed),
         "lemmas": lambda: suite_lemmas(seed, nmax),
-        "bounds": lambda: suite_bounds(seed, threads),
+        "bounds": lambda: suite_bounds(seed),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     failures = 0

@@ -252,19 +252,19 @@ def exhaustive_f(
     g: int,
     n: int,
     budget: int | None = None,
-    threads: int = 1,
     stats: dict | None = None,
 ) -> tuple[int, IntSet]:
     """Exact F(g, N) with the lexicographically smallest maximal witness.
 
     Builds the rows F(g, 0..N) by sequential branch and bound (see
     _search_row).  budget caps the nodes visited over all rows; exceeding
-    it raises BudgetError carrying the best set found so far.  threads is
-    accepted for compatibility and has no effect.  If stats is a dict, its
-    "nodes" entry receives the number of nodes visited.
+    it raises BudgetError carrying the best set found so far.  If stats is
+    a dict, its "nodes" entry receives the number of nodes visited.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
+    if budget is not None and budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     sizes, witnesses, nodes = _f_rows(g, n, budget)
     if stats is not None:
         stats["nodes"] = nodes
@@ -283,11 +283,11 @@ def greedy_lower(g: int, n: int) -> IntSet:
     return IntSet(elems=tuple(state.elems), n=n)
 
 
-def f_table(g_values, n_max: int, threads: int = 1, stats: dict | None = None):
+def f_table(g_values, n_max: int, stats: dict | None = None):
     """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max.
 
-    One table search per g, as in exhaustive_f; threads has no effect, and
-    a stats dict receives the total "nodes" visited.
+    One table search per g, as in exhaustive_f; a stats dict receives the
+    total "nodes" visited.
     """
     rows, nodes = [], 0
     for g in g_values:
@@ -315,6 +315,8 @@ def sdft_inequality_scan(g: int, n_max: int, batch: int = 50000) -> ScanReport:
     enumeration.  Sets are checked in batches through one vectorized DFT per
     batch; a small absolute slack (1e-9) absorbs rounding in the comparison.
     """
+    if n_max < 1:
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
     checked = 0
     violations = 0
     max_ratio = 0.0

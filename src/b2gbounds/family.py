@@ -40,7 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import jsonutil
 from .errors import ValidationError
 from .series import CosineSeries, integral_i1, kernel_dds, kernel_ds, kernel_s
 
@@ -130,7 +129,6 @@ class OptimizeResult:
     converged: bool
     pg_norm: float  # final projected-gradient infinity norm
     stop_reason: str  # "converged", "max_iter" or "stalled"
-    checkpoint_path: str | None = None
 
 
 def to_series(params: FamilyParams) -> CosineSeries:
@@ -378,9 +376,6 @@ def optimize(
     max_iter: int = 20000,
     grad_tol: float = 1e-10,
     seed=None,
-    checkpoint_every: int = 0,
-    checkpoint_path: str | None = None,
-    resume: str | None = None,
     callback=None,
 ) -> OptimizeResult:
     """Maximize rho over the order-m family within the eps-shrunk closed box.
@@ -397,26 +392,15 @@ def optimize(
     ("stalled").
 
     Deterministic for fixed (init, seed, options).  callback(x) runs after
-    every iteration.  When checkpoint_every > 0 the current parameters are
-    written atomically to checkpoint_path every that many iterations, so
-    long runs are resumable via resume=<path>.  Exhausting max_iter is not
-    an error: the result reports converged=False and the caller may resume.
+    every iteration.  Exhausting max_iter is not an error: the result
+    reports converged=False, and passing its params as init continues the
+    run.
     """
     if m < 0:
         raise ValidationError(f"family order must be >= 0, got {m}")
-    if checkpoint_every < 0:
-        raise ValidationError("checkpoint_every must be >= 0")
-    if checkpoint_every > 0 and not checkpoint_path:
-        raise ValidationError("checkpoint_every > 0 requires checkpoint_path")
-
-    if resume is not None:
-        start = jsonutil.load_params(resume)
-        if start.m != m:
-            raise ValidationError(
-                f"resume checkpoint has order {start.m}, expected {m}"
-            )
-    else:
-        start = initial_params(m, init, seed)
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
+    start = initial_params(m, init, seed)
 
     lo, hi = _box(m)
     x = np.clip(_pack(start), lo, hi)
@@ -467,13 +451,9 @@ def optimize(
         iteration += 1
         if callback is not None:
             callback(x.copy())
-        if checkpoint_every and iteration % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, x, m, iteration, rho)
 
     y, c = _unpack(x, m)
     params = FamilyParams(y=tuple(y), c=tuple(c))
-    if checkpoint_every and checkpoint_path:
-        _write_checkpoint(checkpoint_path, x, m, iteration, rho)
     return OptimizeResult(
         params=params,
         rho=rho,
@@ -482,19 +462,4 @@ def optimize(
         converged=stop_reason == "converged",
         pg_norm=pg_norm,
         stop_reason=stop_reason,
-        checkpoint_path=checkpoint_path if checkpoint_every else None,
-    )
-
-
-def _write_checkpoint(path, x, m, iteration, rho):
-    y, c = _unpack(np.asarray(x), m)
-    params = FamilyParams(y=tuple(y), c=tuple(c))
-    jsonutil.save_params(
-        path,
-        params,
-        extra={
-            "iteration": int(iteration),
-            "rho": float(rho),
-            "constant": 2.0 * (1.0 - float(rho)),
-        },
     )

@@ -8,7 +8,6 @@ emitter lives here instead.
 Formats:
     series   {"terms": [{"b": <dec>, "theta": <dec>}, ...]}
     params   {"M": int, "y": [dec...], "c": [dec...]}
-             checkpoints add {"iteration": int, "rho": dec, "constant": dec}
     intset   {"N": int, "elems": [ints]}
 """
 
@@ -181,27 +180,7 @@ def load_params(path: str):
     return params_from_obj(load_json(path))
 
 
-def save_params(path: str, params, extra: dict | None = None) -> None:
-    write_text_atomic(path, dumps(params_to_obj(params, extra)))
-
-
 # -- integer sets --------------------------------------------------------
 
 def intset_to_obj(a) -> dict:
     return {"N": int(a.n), "elems": [int(e) for e in a.elems]}
-
-
-def intset_from_obj(obj) -> "IntSet":
-    from .combinatorics import IntSet
-
-    if not isinstance(obj, dict) or "N" not in obj or "elems" not in obj:
-        raise InputError('intset JSON must be an object with "N" and "elems"')
-    return IntSet(elems=obj["elems"], n=obj["N"])
-
-
-def load_intset(path: str):
-    return intset_from_obj(load_json(path))
-
-
-def save_intset(path: str, a) -> None:
-    write_text_atomic(path, dumps(intset_to_obj(a)))

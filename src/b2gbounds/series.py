@@ -38,6 +38,9 @@ from .errors import DomainError, HypothesisError, ValidationError
 # Taylor switch-over for the sinc kernels.  Below SINC_CUT the direct formula
 # sin(x)/x is replaced by a 4-term Taylor polynomial (degree 6), exact to
 # ~1e-28 at the cut, so the branch is seamless at full double precision.
+# The cut is in sinc's argument, so S(x) = sinc(2 pi x) switches at
+# |x| = SINC_CUT / (2 pi); for |x| < 1e-3 it agrees with the Taylor form
+# switched at |x| = SINC_CUT to 1.1e-16 absolute.
 SINC_CUT = 1e-4
 # The derivative kernels cancel near zero: cos(x)/x - sin(x)/x^2 is O(x) from
 # two O(1/x) terms (relative loss ~eps/x^2), and the second derivative
@@ -97,18 +100,8 @@ def d2sinc(x):
 
 
 def kernel_s(x):
-    """S(x) = sin(2 pi x)/(2 pi x) with S(0) = 1.
-
-    Taylor branch applies for |x| < SINC_CUT (in x units, not 2*pi*x units).
-    """
-    x = np.asarray(x, dtype=float)
-    u = 2.0 * math.pi * x
-    small = np.abs(x) < SINC_CUT
-    safe = np.where(small, 1.0, u)
-    out = np.sin(safe) / safe
-    u2 = u * u
-    taylor = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    return np.where(small, taylor, out)
+    """S(x) = sinc(2 pi x), so S(0) = 1."""
+    return sinc(2.0 * math.pi * np.asarray(x, dtype=float))
 
 
 def kernel_ds(x):
@@ -260,23 +253,13 @@ def asymptotic_constant(series: CosineSeries) -> float:
     return 2.0 * (1.0 - ratio_rho(series))
 
 
-def fourier_a(series: CosineSeries, m: int) -> float:
-    """m-th cosine coefficient of the 2-periodic extension of w.
+def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
+    """[a_0, a_1, ..., a_m_max], the cosine coefficients of the 2-periodic
+    extension of w.
 
     a_m = integral_{-1}^{1} w(t) exp(-i pi m t) dt, real by evenness:
     a_m = sum b_theta [sinc(pi(2 theta - m)) + sinc(pi(2 theta + m))].
     """
-    if m < 0 or m != int(m):
-        raise ValidationError(f"coefficient index must be a nonnegative integer, got {m}")
-    th = series.freqs
-    b = series.coeffs
-    return float(
-        b @ (sinc(math.pi * (2.0 * th - m)) + sinc(math.pi * (2.0 * th + m)))
-    )
-
-
-def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
-    """Vectorized [a_0, a_1, ..., a_m_max]; same formula as fourier_a."""
     m = np.arange(m_max + 1, dtype=float)
     th = series.freqs[:, None]
     b = series.coeffs

@@ -228,7 +228,7 @@ def test_criterion_8_soundness_and_reference_coefficient(m400):
     obj, _ = m400
     optimized = to_series(FamilyParams(y=tuple(obj["y"]), c=tuple(obj["c"])))
     all_series = suite_series() + [("optimized-m400", optimized)]
-    table = f_table([1, 2], 25, threads=4)
+    table = f_table([1, 2], 25)
     violations = []
     for name, series in all_series:
         for g, n, size, _ in table:

@@ -162,14 +162,6 @@ def test_known_sidon_values():
         assert exhaustive_f(1, n)[0] == f
 
 
-def test_threaded_matches_sequential():
-    for g in (1, 2):
-        for n in (8, 13, 17):
-            seq = exhaustive_f(g, n, threads=1)
-            par = exhaustive_f(g, n, threads=4)
-            assert seq == par, (g, n)
-
-
 def test_budget_error_carries_lower_bound():
     with pytest.raises(BudgetError) as info:
         exhaustive_f(2, 14, budget=50)
@@ -196,6 +188,8 @@ def test_budget_error_carries_lower_bound():
 def test_budget_large_enough_is_silent():
     size, _ = exhaustive_f(1, 8, budget=10**7)
     assert size == 4
+    with pytest.raises(ValidationError):
+        exhaustive_f(1, 8, budget=-1)
 
 
 def test_greedy_is_valid_and_dominated():
@@ -227,6 +221,8 @@ def test_inequality_scan_small():
     assert report.max_ratio <= 1.0 + 1e-12
     expected = sum(len(list(enumerate_b2g(1, n))) for n in range(1, 9))
     assert report.checked == expected
+    with pytest.raises(ValidationError):
+        sdft_inequality_scan(1, 0)  # would check no set at all
 
 
 subset_strategy = st.lists(

@@ -1,4 +1,4 @@
-"""Big-family optimizer: gradients, oracle at M=0, determinism, checkpoints."""
+"""Big-family optimizer: gradients, oracle at M=0, determinism, stop reasons."""
 
 import hashlib
 import math
@@ -241,28 +241,6 @@ def test_result_invariants():
     assert integral_i2(series) > 0
 
 
-def test_checkpoint_and_resume(tmp_path):
-    path = str(tmp_path / "ck.json")
-    first = optimize(5, "yu-like", max_iter=4, checkpoint_every=2, checkpoint_path=path)
-    assert first.checkpoint_path == path
-    assert not first.converged  # four iterations cannot converge from flat start
-    resumed = optimize(5, "yu-like", resume=path)
-    finished = optimize(5, "yu-like")
-    assert resumed.rho == pytest.approx(finished.rho, rel=1e-10)
-
-
-def test_checkpoint_requires_path():
-    with pytest.raises(InputError):
-        optimize(3, "yu-like", checkpoint_every=5)
-
-
-def test_resume_order_mismatch(tmp_path):
-    path = str(tmp_path / "ck.json")
-    optimize(3, "yu-like", max_iter=3, checkpoint_every=1, checkpoint_path=path)
-    with pytest.raises(InputError):
-        optimize(4, "yu-like", resume=path)
-
-
 def test_initial_params_variants():
     for m in (0, 3, 30, 80):
         for init in ("paper", "yu-like"):
@@ -304,6 +282,8 @@ def test_stop_reasons_are_reported():
     result = optimize(5, "yu-like", grad_tol=0.0)
     assert result.stop_reason == "stalled" and not result.converged
     assert result.iterations < 100
+    with pytest.raises(ValidationError):
+        optimize(5, "yu-like", max_iter=-1)
 
 
 def test_regression_m50_frozen_value():
