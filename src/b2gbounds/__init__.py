@@ -12,6 +12,7 @@ Modules
     yu              one-parameter family with O(M) and limit evaluation
     family          box-constrained rho maximization over a 2M+1 family
     combinatorics   difference counts, spectral identities, exact F(g, N)
+    checks          self-checks of the identities and lemmas (b2g verify)
     cli             reproducible command-line front end
 """
 

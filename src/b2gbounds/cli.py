@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 import time
@@ -32,18 +31,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, jsonutil
+from . import __version__, checks, jsonutil
 from .bounds import max_size_bound
-from .combinatorics import (
-    IntSet,
-    d_identity_residual,
-    diff_profile,
-    exhaustive_f,
-    f_table,
-    s_comb,
-    s_dft,
-    sdft_inequality_scan,
-)
+from .combinatorics import exhaustive_f, f_table
 from .errors import (
     BracketError,
     BudgetError,
@@ -52,18 +42,9 @@ from .errors import (
     InputError,
     ToleranceError,
 )
-from .family import initial_params, optimize, to_series
-from .series import (
-    CosineSeries,
-    coefficient_decay_bound,
-    eval_w,
-    fourier_coefficients,
-    integral_i1,
-    integral_i2,
-    parseval_tail_bound,
-    summarize,
-)
-from .yu import LIMIT, YuParams, yu_evaluate, yu_series
+from .family import optimize
+from .series import eval_w, summarize
+from .yu import LIMIT, YuParams, yu_evaluate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -180,7 +161,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["identities", "lemmas", "bounds", "all"],
         default="all",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="draws the identities and lemmas samples; "
+        "the bounds suite is deterministic",
+    )
     p.add_argument(
         "--nmax", type=int, default=None, help="enumeration depth for lemma scans"
     )
@@ -388,173 +375,17 @@ def cmd_search(args, config) -> int:
     return EXIT_OK
 
 
-# -- verification suites ---------------------------------------------------
-
-
-def _random_series(rng, k_max=10, fmax=30.0, bmax=2.0) -> CosineSeries:
-    k = int(rng.integers(1, k_max + 1))
-    coeffs = rng.uniform(0.0, bmax, k)
-    freqs = rng.uniform(0.0, fmax, k)
-    return CosineSeries(list(zip(coeffs, freqs)))
-
-
-def _random_intset(rng, n_max=30) -> IntSet:
-    n = int(rng.integers(1, n_max + 1))
-    mask = rng.random(n + 1) < 0.4
-    return IntSet(elems=tuple(np.flatnonzero(mask)), n=n)
-
-
-def suite_identities(seed, pairs=150):
-    rng = np.random.default_rng(seed)
-    checks = []
-    worst_res, worst_gap, profile_bad = 0.0, 0.0, 0
-    for _ in range(pairs):
-        a = _random_intset(rng)
-        series = _random_series(rng)
-        lhs_scale = 1.0 + abs(
-            sum(
-                count * eval_w(series, d / a.n)
-                for d, count in diff_profile(a).counts.items()
-            )
-        )
-        worst_res = max(worst_res, d_identity_residual(a, series) / lhs_scale)
-        d_end = diff_profile(a).counts.get(a.n, 0)
-        gap = abs(s_dft(a) - (s_comb(a) + 2.0 * d_end * d_end))
-        worst_gap = max(worst_gap, gap)
-        profile = diff_profile(a).counts
-        if sum(profile.values()) != a.size**2 or profile.get(0, 0) != a.size:
-            profile_bad += 1
-        if any(profile.get(-k, 0) != v for k, v in profile.items()):
-            profile_bad += 1
-    checks.append(
-        (
-            "difference-sum identity",
-            worst_res < 1e-9,
-            f"max relative residual {worst_res:.3e} over {pairs} pairs",
-        )
-    )
-    checks.append(
-        (
-            "dft vs combinatorial count",
-            worst_gap < 1e-9,
-            f"max |s_dft - s_comb - 2 d(N)^2| = {worst_gap:.3e}",
-        )
-    )
-    checks.append(
-        ("difference profile invariants", profile_bad == 0, f"{profile_bad} bad")
-    )
-    return checks
-
-
-def suite_lemmas(seed, nmax=14):
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    decay_bad = 0
-    for _ in range(10):
-        series = _random_series(rng, k_max=8, fmax=10.0, bmax=1.0)
-        summary = summarize(series)
-        coeffs = fourier_coefficients(series, 2000)
-        for m in range(1, 2001):
-            if abs(coeffs[m]) > coefficient_decay_bound(summary.a_upper, m) + 1e-12:
-                decay_bad += 1
-    checks.append(
-        ("coefficient decay bound", decay_bad == 0, f"{decay_bad} violations")
-    )
-
-    parseval_bad = 0
-    worst = 0.0
-    for _ in range(10):
-        series = _random_series(rng, k_max=6, fmax=8.0, bmax=1.0)
-        i1 = integral_i1(series)
-        i2 = integral_i2(series)
-        summary = summarize(series)
-        m_star = 20000
-        coeffs = fourier_coefficients(series, m_star)
-        tail = parseval_tail_bound(summary.a_upper, m_star)
-        gap = abs(float(np.sum(coeffs[1:] ** 2)) - 2.0 * (i2 - i1 * i1))
-        worst = max(worst, gap - tail)
-        if gap > 1e-6 + tail:
-            parseval_bad += 1
-    checks.append(
-        (
-            "parseval within tail-bounded 1e-6",
-            parseval_bad == 0,
-            f"max excess over tail {worst:.3e}",
-        )
-    )
-
-    for g in (1, 2):
-        report = sdft_inequality_scan(g, nmax)
-        checks.append(
-            (
-                f"s_dft <= (2g-1)|A|^2, g={g}, N<={nmax}",
-                report.violations == 0,
-                f"{report.checked} sets, max ratio {report.max_ratio:.4f} "
-                f"of {2 * g - 1}",
-            )
-        )
-    return checks
-
-
-def suite_bounds(seed):
-    checks = []
-    suite = [
-        ("single term 3/4", CosineSeries([(1.0, 0.75)])),
-        ("yu truncated", yu_series(YuParams(0.75, 10))),
-        ("family paper prefix", to_series(initial_params(8, "paper"))),
-    ]
-    table = f_table([1, 2], 16)
-    sound_bad = []
-    for name, series in suite:
-        for g, n_val, size, _ in table:
-            if n_val < 1:
-                continue
-            report = max_size_bound(series, n_val, g)
-            if size > report.max_size:
-                sound_bad.append((name, g, n_val, size, report.max_size))
-    checks.append(
-        (
-            "exhaustive F <= finite-N bound",
-            not sound_bad,
-            f"{len(sound_bad)} violations" + (f", first {sound_bad[0]}" if sound_bad else ""),
-        )
-    )
-
-    mono_bad = 0
-    for name, series in suite:
-        for n_val in (10, 100, 1000):
-            sizes = [max_size_bound(series, n_val, g).max_size for g in (1, 2, 3)]
-            if sizes != sorted(sizes):
-                mono_bad += 1
-    checks.append(("bound nondecreasing in g", mono_bad == 0, f"{mono_bad} bad"))
-
-    drift_bad = 0
-    details = []
-    for name, series in suite[:2]:
-        target = math.sqrt(2.0 * (1.0 - summarize(series).rho))
-        gaps = [
-            abs(max_size_bound(series, n_val, 2).coefficient - target)
-            for n_val in (10**4, 10**6, 10**8)
-        ]
-        if not (gaps[0] >= gaps[1] >= gaps[2]):
-            drift_bad += 1
-        details.append(f"{name}: gaps {gaps[0]:.2e} > {gaps[1]:.2e} > {gaps[2]:.2e}")
-    checks.append(
-        ("coefficient converges to asymptotic", drift_bad == 0, "; ".join(details))
-    )
-    return checks
-
-
 def cmd_verify(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", 0, int)
     nmax = _resolve(args.nmax, config, "nmax", 14, int)
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     if nmax < 1:
         raise InputError(f"--nmax must be >= 1, got {nmax}")
     suites = {
-        "identities": lambda: suite_identities(seed),
-        "lemmas": lambda: suite_lemmas(seed, nmax),
-        "bounds": lambda: suite_bounds(seed),
+        "identities": lambda: checks.suite_identities(seed),
+        "lemmas": lambda: checks.suite_lemmas(seed, nmax),
+        "bounds": checks.suite_bounds,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     failures = 0

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes (see cli.EXIT_CODES):
+The CLI maps these onto process exit codes (see the cli.EXIT_* constants):
 input/validation problems exit 2, violated mathematical hypotheses exit 3,
 exhausted budgets/tolerances exit 4, failed verification suites exit 5.
 """

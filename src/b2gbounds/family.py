@@ -296,6 +296,8 @@ def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:
             c[j] = REF_C[j]
         return FamilyParams(y=tuple(y), c=tuple(c))
     if init == "random":
+        if seed is not None and seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         return FamilyParams(
             y=tuple(rng.uniform(0.05, math.pi - 0.05, m + 1)),
@@ -400,6 +402,8 @@ def optimize(
         raise ValidationError(f"family order must be >= 0, got {m}")
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
+    if not grad_tol >= 0:
+        raise ValidationError(f"grad_tol must be >= 0, got {grad_tol}")
     start = initial_params(m, init, seed)
 
     lo, hi = _box(m)

@@ -5,16 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from b2gbounds import CosineSeries, YuParams, initial_params, to_series, yu_series
+from b2gbounds.checks import random_series
 
 
 def make_series(rng, k_max=10, fmax=30.0, bmax=2.0, zero_freq=False):
-    """Random admissible series; oscillatory enough to exercise the kernels."""
-    k = int(rng.integers(1, k_max + 1))
-    coeffs = rng.uniform(0.0, bmax, k)
-    freqs = rng.uniform(0.0, fmax, k)
+    """Random admissible series; zero_freq moves the first term to theta = 0."""
+    series = random_series(rng, k_max, fmax, bmax)
     if zero_freq:
-        freqs[0] = 0.0
-    return CosineSeries(list(zip(coeffs, freqs)))
+        series = CosineSeries([(series.terms[0].coeff, 0.0), *series.terms[1:]])
+    return series
 
 
 def quad_integral(fn, rel=1e-12):

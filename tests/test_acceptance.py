@@ -9,7 +9,6 @@ mark them.
 """
 
 import json
-import math
 import subprocess
 import sys
 import time
@@ -17,31 +16,27 @@ import time
 import numpy as np
 import pytest
 
-from b2gbounds import (
-    FamilyParams,
-    IntSet,
-    d_identity_residual,
-    diff_profile,
-    f_table,
-    fourier_coefficients,
-    initial_params,
-    max_size_bound,
-    s_comb,
-    s_dft,
-    sdft_inequality_scan,
-    summarize,
-    to_series,
-)
+from b2gbounds import FamilyParams, f_table, initial_params, max_size_bound, to_series
+from b2gbounds import checks
 from b2gbounds.family import REF_C, REF_Y, _pack, rho_and_grad
-from b2gbounds.series import coefficient_decay_bound, parseval_tail_bound
 
-from conftest import make_series, suite_series
+from conftest import suite_series
 
 
 def crit(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
+
+
+def crit_checks(num, results, elapsed=None, limit=None):
+    """crit over (name, passed, detail) results of b2gbounds.checks."""
+    ok = all(passed for _, passed, _ in results)
+    detail = "; ".join(f"{name}: {text}" for name, _, text in results)
+    if limit is not None:
+        ok = ok and elapsed < limit
+        detail += f", {elapsed:.1f}s < {limit:.0f}s"
+    crit(num, ok, detail)
 
 
 def run_cli(*argv, timeout=1200):
@@ -180,97 +175,38 @@ def test_criterion_5_gradient_against_central_differences():
 
 def test_criterion_6_spectral_inequality_full_enumeration():
     start = time.perf_counter()
-    reports = {g: sdft_inequality_scan(g, 18) for g in (1, 2)}
-    elapsed = time.perf_counter() - start
-    total_violations = sum(r.violations for r in reports.values())
-    checked = {g: r.checked for g, r in reports.items()}
-    ratios = {g: r.max_ratio for g, r in reports.items()}
-    crit(
-        6,
-        total_violations == 0 and elapsed < 300.0,
-        f"s_dft <= (2g-1)|A|^2 on all B2[g] sets N<=18: {checked[1]}+{checked[2]} "
-        f"sets, 0 violations, max ratios {ratios[1]:.3f}/{ratios[2]:.3f} of 1/3, "
-        f"{elapsed:.1f}s < 300s",
-    )
+    results = [checks.sdft_inequality(g, 18) for g in (1, 2)]
+    crit_checks(6, results, time.perf_counter() - start, 300.0)
 
 
 def test_criterion_7_spectral_identities_randomized():
-    from b2gbounds import eval_w
-
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst_residual = 0.0
-    worst_wrap = 0.0
-    for _ in range(500):
-        n = int(rng.integers(1, 30))
-        mask = rng.random(n + 1) < 0.5
-        a = IntSet(tuple(int(i) for i in range(n + 1) if mask[i]), n)
-        series = make_series(rng, k_max=6, fmax=15.0)
-        lhs = sum(
-            count * eval_w(series, d / n)
-            for d, count in diff_profile(a).counts.items()
-        )
-        worst_residual = max(
-            worst_residual, d_identity_residual(a, series) / (1.0 + abs(lhs))
-        )
-        d_n = diff_profile(a).counts.get(n, 0)
-        worst_wrap = max(worst_wrap, abs(s_dft(a) - s_comb(a) - 2.0 * d_n * d_n))
-    elapsed = time.perf_counter() - start
-    crit(
-        7,
-        worst_residual < 1e-9 and worst_wrap <= 1e-9 and elapsed < 60.0,
-        f"500 pairs: max identity residual {worst_residual:.2e} (tol 1e-9), "
-        f"max wraparound gap {worst_wrap:.2e} (tol 1e-9), {elapsed:.1f}s < 60s",
-    )
+    pairs = checks.random_pairs(rng, 500, n_max=29, p=0.5, k_max=6, fmax=15.0)
+    results = [checks.difference_identity(pairs), checks.wraparound_identity(pairs)]
+    crit_checks(7, results, time.perf_counter() - start, 60.0)
 
 
 def test_criterion_8_soundness_and_reference_coefficient(m400):
     obj, _ = m400
     optimized = to_series(FamilyParams(y=tuple(obj["y"]), c=tuple(obj["c"])))
     all_series = suite_series() + [("optimized-m400", optimized)]
-    table = f_table([1, 2], 25)
-    violations = []
-    for name, series in all_series:
-        for g, n, size, _ in table:
-            if n < 1:
-                continue
-            if size > max_size_bound(series, n, g).max_size:
-                violations.append((name, g, n))
+    _, sound, detail = checks.bound_soundness(all_series, f_table([1, 2], 25))
     coeff = max_size_bound(optimized, 10**8, 2).coefficient
     rel = abs(coeff - 1.319266) / 1.319266
     crit(
         8,
-        not violations and rel <= 0.01,
+        sound and rel <= 0.01,
         f"exhaustive F <= bound for {len(all_series)} series x (g,N) grid "
-        f"({len(violations)} violations); N=1e8 coefficient {coeff:.6f} within "
+        f"({detail}); N=1e8 coefficient {coeff:.6f} within "
         f"{100 * rel:.3f}% of 1.319266 (tol 1%)",
     )
 
 
 def test_criterion_9_coefficient_decay_and_parseval():
     rng = np.random.default_rng(9)
-    m_max = 10**4
-    ms = np.arange(1, m_max + 1)
-    decay_violations = 0
-    parseval_ok = True
-    worst_excess = -math.inf
-    for _ in range(20):
-        series = make_series(rng, k_max=8, fmax=12.0, bmax=1.5)
-        summary = summarize(series)
-        coeffs = fourier_coefficients(series, m_max)
-        bound = coefficient_decay_bound(summary.a_upper, ms)
-        decay_violations += int(np.sum(np.abs(coeffs[1:]) > bound + 1e-12))
-        tail = parseval_tail_bound(summary.a_upper, m_max)
-        gap = abs(
-            float(np.sum(coeffs[1:] ** 2))
-            - 2.0 * (summary.i2 - summary.i1**2)
-        )
-        worst_excess = max(worst_excess, gap - tail)
-        if gap > 1e-6 + tail:
-            parseval_ok = False
-    crit(
-        9,
-        decay_violations == 0 and parseval_ok,
-        f"|a_m| <= 2A+/(pi^2 m^2) for m <= 1e4 on 20 series ({decay_violations} "
-        f"violations); Parseval gap - tail <= {worst_excess:.2e} (tol 1e-6)",
-    )
+    sample = [
+        checks.random_series(rng, k_max=8, fmax=12.0, bmax=1.5) for _ in range(20)
+    ]
+    results = [checks.coefficient_decay(sample, 10**4), checks.parseval(sample, 10**4)]
+    crit_checks(9, results)

@@ -16,6 +16,8 @@ from b2gbounds import (
 )
 from b2gbounds.bounds import radicand, scan_limit
 
+from b2gbounds.checks import bound_monotone_in_g, bound_soundness
+
 from conftest import make_series, suite_series
 
 
@@ -75,20 +77,13 @@ def test_scan_limit_covers_feasible_sizes():
 
 
 def test_bound_is_sound_for_exhaustive_f():
-    table = f_table([1, 2], 16)
-    for name, series in suite_series():
-        for g, n, size, _ in table:
-            if n < 1:
-                continue
-            report = max_size_bound(series, n, g)
-            assert size <= report.max_size, (name, g, n, size, report.max_size)
+    _, passed, detail = bound_soundness(suite_series(), f_table([1, 2], 16))
+    assert passed, detail
 
 
 def test_bound_nondecreasing_in_g():
-    for name, series in suite_series():
-        for n in [10, 100, 10**4]:
-            sizes = [max_size_bound(series, n, g).max_size for g in (1, 2, 3)]
-            assert sizes == sorted(sizes), (name, n, sizes)
+    _, passed, detail = bound_monotone_in_g(suite_series(), (10, 100, 10**4))
+    assert passed, detail
 
 
 def test_coefficient_tends_to_asymptotic_constant():

@@ -176,6 +176,9 @@ def test_optimize_deterministic_and_manifest(tmp_path):
     assert manifest["inputs"]["seed"] == 11
     assert manifest["outputs"] == [out1]
     assert "timestamp" in manifest and "tool_version" in manifest
+    # a negative seed is an input error, not a NumPy traceback
+    proc = run_cli("optimize", "--m", "2", "--init", "random", "--seed", "-1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
 def test_optimize_resume_roundtrip(tmp_path):
@@ -248,10 +251,29 @@ def test_config_file_precedence(tmp_path, series_file):
     )
 
 
-def test_verify_command_passes():
-    proc = run_cli("verify", "--suite", "identities", "--seed", "3")
+def test_verify_command_passes(tmp_path):
+    proc = run_cli("verify", "--suite", "all", "--seed", "3")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "all checks passed"
     # a scan over no sets would pass vacuously
     proc = run_cli("verify", "--suite", "lemmas", "--nmax", "-1")
     assert proc.returncode == 2 and "all checks passed" not in proc.stdout
+    # a negative seed is an input error, from the flag or the config file
+    proc = run_cli("verify", "--suite", "bounds", "--seed", "-1")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = -1\n")
+    proc = run_cli("verify", "--suite", "bounds", "--config", str(cfg))
+    assert proc.returncode == 2 and "all checks passed" not in proc.stdout
+
+
+def test_verify_failure_exits_5(monkeypatch, capsys):
+    from b2gbounds import checks, cli
+
+    monkeypatch.setattr(
+        checks, "suite_bounds", lambda: [("planted", False, "1 violations")]
+    )
+    assert cli.main(["verify", "--suite", "bounds"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["[bounds] FAIL planted: 1 violations", "1 FAILED"]

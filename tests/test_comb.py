@@ -23,6 +23,8 @@ from b2gbounds import (
     sdft_inequality_scan,
 )
 
+from b2gbounds.checks import difference_identity, random_pairs
+
 from conftest import make_series
 
 
@@ -82,18 +84,9 @@ def test_wraparound_identity(rng):
 
 
 def test_identity_residual_small(rng):
-    from b2gbounds import eval_w
-
-    for _ in range(100):
-        n = int(rng.integers(1, 25))
-        mask = rng.random(n + 1) < 0.5
-        a = IntSet(tuple(int(i) for i in range(n + 1) if mask[i]), n)
-        series = make_series(rng, k_max=6, fmax=12.0)
-        lhs = sum(
-            count * eval_w(series, diff / n)
-            for diff, count in diff_profile(a).counts.items()
-        )
-        assert d_identity_residual(a, series) < 1e-9 * (1.0 + abs(lhs))
+    pairs = random_pairs(rng, 100, n_max=24, p=0.5, k_max=6, fmax=12.0)
+    _, passed, detail = difference_identity(pairs)
+    assert passed, detail
     with pytest.raises(ValidationError):
         d_identity_residual(IntSet((), 0), make_series(rng))
 

@@ -284,6 +284,9 @@ def test_stop_reasons_are_reported():
     assert result.iterations < 100
     with pytest.raises(ValidationError):
         optimize(5, "yu-like", max_iter=-1)
+    for grad_tol in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            optimize(5, "yu-like", grad_tol=grad_tol)
 
 
 def test_regression_m50_frozen_value():
