@@ -1,13 +1,15 @@
 """Upper bounds for B2[g] sets from nonnegative cosine series.
 
 The library is organized around a single object, a finite cosine series
-w(t) = sum_j b_j cos(2 pi theta_j t) with b_j >= 0, and the handful of
-functionals of w that control the size of B2[g] subsets of {0, ..., N}:
-the integrals I1 and I2, the ratio rho = I1^2 / I2, and a certified
-curvature bound used to absorb discretization error at finite N.
+w(t) = sum_j b_j cos(2 pi theta_j t) with b_j >= 0 (CosineSeries, two
+arrays b and theta), and the handful of functionals of w that control the
+size of B2[g] subsets of {0, ..., N}: the integrals I1 and I2, the ratio
+rho = I1^2 / I2, w(0), and a certified curvature bound used to absorb
+discretization error at finite N.  summarize evaluates them together into
+one FunctionalSummary, which both bounds and the CLI read.
 
 Modules
-    series          series type, closed-form functionals, Fourier data
+    series          series type, functional summary, Fourier data
     bounds          finite-N size bound and asymptotic constant
     yu              one-parameter family with O(M) and limit evaluation
     family          box-constrained rho maximization over a 2M+1 family
@@ -20,7 +22,6 @@ __version__ = "0.1.0"
 
 from .bounds import BoundReport, finite_majorant, max_size_bound, reference_min
 from .combinatorics import (
-    DiffProfile,
     IntSet,
     d_identity_residual,
     diff_profile,
@@ -54,7 +55,6 @@ from .family import (
 )
 from .series import (
     CosineSeries,
-    CosineTerm,
     FunctionalSummary,
     asymptotic_constant,
     curvature_bound,
@@ -73,8 +73,6 @@ __all__ = [
     "BracketError",
     "BudgetError",
     "CosineSeries",
-    "CosineTerm",
-    "DiffProfile",
     "DomainError",
     "FamilyParams",
     "FunctionalSummary",

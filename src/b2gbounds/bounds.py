@@ -53,13 +53,7 @@ class BoundReport:
             "max_size": self.max_size,
             "coefficient": self.coefficient,
             "reference_min": self.reference_min,
-            "summary": {
-                "i1": self.summary.i1,
-                "i2": self.summary.i2,
-                "rho": self.summary.rho,
-                "w0": self.summary.w0,
-                "a_upper": self.summary.a_upper,
-            },
+            "summary": self.summary.to_obj(),
         }
 
 

@@ -57,7 +57,7 @@ def random_pairs(rng, count, n_max=30, p=0.4, **series_kw):
     pairs = []
     for _ in range(count):
         a = random_intset(rng, n_max, p)
-        pairs.append((a, random_series(rng, **series_kw), diff_profile(a).counts))
+        pairs.append((a, random_series(rng, **series_kw), diff_profile(a)))
     return pairs
 
 

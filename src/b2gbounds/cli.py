@@ -269,13 +269,7 @@ def cmd_analyze(args, config) -> int:
             f"I1 = {summary.i1!r} is not negative for {args.series_file}"
         )
     obj = {
-        "summary": {
-            "i1": summary.i1,
-            "i2": summary.i2,
-            "rho": summary.rho,
-            "w0": summary.w0,
-            "a_upper": summary.a_upper,
-        },
+        "summary": summary.to_obj(),
         "i1_negative": negative,
         "constant": 2.0 * (1.0 - summary.rho) if negative else None,
     }
@@ -351,7 +345,7 @@ def cmd_search(args, config) -> int:
     stats = {}
     start = time.perf_counter()
     if args.table:
-        rows = f_table([args.g], n, stats=stats)
+        rows = f_table([args.g], n, budget=args.budget, stats=stats)
         stats["wall_s"] = time.perf_counter() - start
         buf = io.StringIO()
         writer = csv.writer(buf)

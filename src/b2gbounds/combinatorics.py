@@ -56,13 +56,6 @@ class IntSet:
         return len(self.elems)
 
 
-@dataclass(frozen=True)
-class DiffProfile:
-    """counts[n] = d(n) for n in [-N, N]; zero entries are omitted."""
-
-    counts: dict
-
-
 class _SumCounts:
     """A set grown in increasing order, with its pairwise-sum multiplicities.
 
@@ -108,19 +101,19 @@ def is_b2g(a: IntSet, g: int) -> bool:
     return all(state.push(x) for x in a.elems)
 
 
-def diff_profile(a: IntSet) -> DiffProfile:
-    """Exact d(n) table; d(-n) = d(n), d(0) = |A|, total mass |A|^2."""
+def diff_profile(a: IntSet) -> dict:
+    """Exact d(n) table {n: d(n)}, zero entries omitted; d(-n) = d(n),
+    d(0) = |A|, total mass |A|^2."""
     counts = {}
     for x in a.elems:
         for y in a.elems:
             counts[x - y] = counts.get(x - y, 0) + 1
-    return DiffProfile(counts=counts)
+    return counts
 
 
 def s_comb(a: IntSet) -> int:
     """sum_{n != 0} d(n)^2, the count of solutions to a - b = c - d, a != b."""
-    profile = diff_profile(a).counts
-    return sum(v * v for n, v in profile.items() if n != 0)
+    return sum(v * v for n, v in diff_profile(a).items() if n != 0)
 
 
 def _exp_sum(elems, points):
@@ -149,9 +142,8 @@ def d_identity_residual(a: IntSet, series: CosineSeries) -> float:
     """
     if a.n < 1:
         raise ValidationError("identity residual needs ambient N >= 1")
-    profile = diff_profile(a).counts
     lhs = 0.0
-    for diff, count in sorted(profile.items()):
+    for diff, count in sorted(diff_profile(a).items()):
         lhs += count * eval_w(series, diff / a.n)
     f_abs2 = np.abs(_exp_sum(a.elems, series.freqs / a.n)) ** 2
     rhs = float(series.coeffs @ f_abs2)
@@ -227,6 +219,10 @@ def _f_rows(g, n_max, budget=None):
     """
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
+    if n_max < 0:
+        raise ValidationError(f"n must be >= 0, got {n_max}")
+    if budget is not None and budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
     limit = math.inf if budget is None else int(budget)
     sizes, witnesses, nodes = [], [], 0
     for n in range(n_max + 1):
@@ -256,19 +252,13 @@ def exhaustive_f(
 ) -> tuple[int, IntSet]:
     """Exact F(g, N) with the lexicographically smallest maximal witness.
 
-    Builds the rows F(g, 0..N) by sequential branch and bound (see
-    _search_row).  budget caps the nodes visited over all rows; exceeding
-    it raises BudgetError carrying the best set found so far.  If stats is
-    a dict, its "nodes" entry receives the number of nodes visited.
+    The last row of f_table([g], n, budget, stats): budget caps the nodes
+    visited over all rows; exceeding it raises BudgetError carrying the best
+    set found so far.  If stats is a dict, its "nodes" entry receives the
+    number of nodes visited.
     """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    if budget is not None and budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget}")
-    sizes, witnesses, nodes = _f_rows(g, n, budget)
-    if stats is not None:
-        stats["nodes"] = nodes
-    return sizes[-1], IntSet(elems=witnesses[-1], n=n)
+    _, _, size, elems = f_table([g], n, budget=budget, stats=stats)[-1]
+    return size, IntSet(elems=elems, n=n)
 
 
 def greedy_lower(g: int, n: int) -> IntSet:
@@ -283,15 +273,18 @@ def greedy_lower(g: int, n: int) -> IntSet:
     return IntSet(elems=tuple(state.elems), n=n)
 
 
-def f_table(g_values, n_max: int, stats: dict | None = None):
+def f_table(
+    g_values, n_max: int, budget: int | None = None, stats: dict | None = None
+):
     """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max.
 
-    One table search per g, as in exhaustive_f; a stats dict receives the
-    total "nodes" visited.
+    One table search per g by sequential branch and bound (see _search_row);
+    budget caps the nodes of each g's table (BudgetError past it), and a
+    stats dict receives the total "nodes" visited.
     """
     rows, nodes = [], 0
     for g in g_values:
-        sizes, witnesses, g_nodes = _f_rows(g, n_max)
+        sizes, witnesses, g_nodes = _f_rows(g, n_max, budget)
         rows.extend((g, n, *row) for n, row in enumerate(zip(sizes, witnesses)))
         nodes += g_nodes
     if stats is not None:

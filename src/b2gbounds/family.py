@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .series import CosineSeries, integral_i1, kernel_dds, kernel_ds, kernel_s
+from .series import CosineSeries, kernel_dds, kernel_ds, kernel_s
 
 BOX_EPS = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -256,15 +256,14 @@ def objective(params: FamilyParams) -> float:
     """rho at params; warns (does not fail) when I1 >= 0 there, so an
     optimizer path may traverse sign changes while the caller still learns
     the asymptotic-constant hypothesis is violated at this point."""
-    series = to_series(params)
-    if integral_i1(series) >= 0:
+    f = _first_order(_pack(params), params.m)
+    if f.i1 >= 0:
         warnings.warn(
             "I1 >= 0 at these parameters; the asymptotic constant hypothesis "
             "fails here",
             stacklevel=2,
         )
-    rho, _ = rho_and_grad(_pack(params), params.m)
-    return rho
+    return f.rho
 
 
 def gradient(params: FamilyParams) -> np.ndarray:

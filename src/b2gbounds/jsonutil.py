@@ -108,11 +108,8 @@ def load_json(path: str) -> dict:
 # -- series ------------------------------------------------------------
 
 def series_to_obj(series) -> dict:
-    return {
-        "terms": [
-            {"b": float(t.coeff), "theta": float(t.freq)} for t in series.terms
-        ]
-    }
+    pairs = zip(series.coeffs.tolist(), series.freqs.tolist())
+    return {"terms": [{"b": b, "theta": theta} for b, theta in pairs]}
 
 
 def series_from_obj(obj) -> "CosineSeries":

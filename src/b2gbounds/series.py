@@ -22,6 +22,12 @@ The ratio rho = I1^2 / I2 <= 1 (Cauchy-Schwarz) and, whenever I1 < 0, the
 asymptotic constant c = 2(1 - rho) bounds B2[g] set sizes:
 |A| <~ sqrt(c (2g-1) N) for A contained in [0, N].
 
+CosineSeries stores the coefficients b and frequencies theta as two float
+arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
+together; ratio_rho and asymptotic_constant read theirs from it, so its
+guards (the zero series, I2 or A-upper outside the double range) cover all
+three.
+
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
 """
@@ -29,7 +35,7 @@ significant digits (verified against adaptive quadrature in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,76 +121,64 @@ def kernel_dds(x):
     return two_pi * two_pi * d2sinc(two_pi * np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class CosineTerm:
-    """One term b * cos(2 pi theta t); b >= 0 and theta >= 0."""
-
-    coeff: float
-    freq: float
-
-    def __post_init__(self):
-        c = float(self.coeff)
-        f = float(self.freq)
-        if not (math.isfinite(c) and math.isfinite(f)):
-            raise ValidationError(f"non-finite term ({self.coeff}, {self.freq})")
-        if c < 0:
-            raise ValidationError(f"coefficient must be nonnegative, got {c}")
-        if f < 0:
-            raise ValidationError(f"frequency must be nonnegative, got {f}")
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "freq", f)
-
-
 class CosineSeries:
-    """Ordered finite list of CosineTerm.
+    """Finite cosine series held as two float arrays, coeffs and freqs.
 
-    Frequencies need not be distinct or sorted; every functional below is a
-    symmetric sum over terms, so results are independent of term order up to
-    floating rounding.
+    Built from (b, theta) pairs and validated once over the arrays: at least
+    one term, every value finite, b >= 0 and theta >= 0.  Both arrays are
+    read-only.  Frequencies need not be distinct or sorted; every functional
+    below is a symmetric sum over terms, so results are independent of term
+    order up to floating rounding.
     """
 
-    __slots__ = ("terms", "_b", "_theta")
+    __slots__ = ("coeffs", "freqs")
 
     def __init__(self, terms):
-        terms = tuple(
-            t if isinstance(t, CosineTerm) else CosineTerm(*t) for t in terms
-        )
-        if not terms:
+        pairs = np.array(list(terms), dtype=float)
+        if pairs.size == 0:
             raise ValidationError("series must have at least one term")
-        self.terms = terms
-        self._b = np.array([t.coeff for t in terms], dtype=float)
-        self._theta = np.array([t.freq for t in terms], dtype=float)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._b
-
-    @property
-    def freqs(self) -> np.ndarray:
-        return self._theta
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError("terms must be (coefficient, frequency) pairs")
+        b, theta = pairs.T.copy()
+        bad = ~(np.isfinite(b) & np.isfinite(theta)) | (b < 0) | (theta < 0)
+        if bad.any():
+            i = bad.argmax()
+            c, f = float(b[i]), float(theta[i])
+            if not (math.isfinite(c) and math.isfinite(f)):
+                raise ValidationError(f"non-finite term ({c}, {f})")
+            if c < 0:
+                raise ValidationError(f"coefficient must be nonnegative, got {c}")
+            raise ValidationError(f"frequency must be nonnegative, got {f}")
+        b.flags.writeable = theta.flags.writeable = False
+        self.coeffs = b
+        self.freqs = theta
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, CosineSeries) and self.terms == other.terms
+        return (
+            isinstance(other, CosineSeries)
+            and np.array_equal(self.coeffs, other.coeffs)
+            and np.array_equal(self.freqs, other.freqs)
+        )
 
     def __repr__(self):
-        inner = ", ".join(f"({t.coeff:g}, {t.freq:g})" for t in self.terms[:6])
-        if len(self.terms) > 6:
-            inner += f", ... {len(self.terms)} terms"
+        inner = ", ".join(
+            f"({b:g}, {f:g})" for b, f in zip(self.coeffs[:6], self.freqs[:6])
+        )
+        if len(self) > 6:
+            inner += f", ... {len(self)} terms"
         return f"CosineSeries([{inner}])"
 
     def scaled(self, factor: float) -> "CosineSeries":
         """Series with every coefficient multiplied by factor > 0."""
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
-        return CosineSeries(
-            [CosineTerm(t.coeff * factor, t.freq) for t in self.terms]
-        )
+        return CosineSeries(zip(self.coeffs * factor, self.freqs))
 
     def is_zero(self) -> bool:
-        return bool(np.all(self._b == 0.0))
+        return not self.coeffs.any()
 
 
 @dataclass(frozen=True)
@@ -201,6 +195,10 @@ class FunctionalSummary:
     rho: float
     w0: float
     a_upper: float
+
+    def to_obj(self) -> dict:
+        """{i1, i2, rho, w0, a_upper}, the summary as the CLI writes it."""
+        return asdict(self)
 
 
 def eval_w(series: CosineSeries, t) -> float | np.ndarray:
@@ -228,15 +226,7 @@ def integral_i2(series: CosineSeries) -> float:
 
 def ratio_rho(series: CosineSeries) -> float:
     """rho = I1^2 / I2, always in [0, 1] for a nonzero series."""
-    if series.is_zero():
-        raise DomainError("rho is undefined for the identically zero series")
-    i1 = integral_i1(series)
-    i2 = integral_i2(series)
-    if i2 <= 0.0:
-        # I2 > 0 for every nonzero series; reaching 0 here means the
-        # coefficients are so small that I2 underflowed in double precision
-        raise DomainError("I2 underflowed to zero; series is numerically zero")
-    return i1 * i1 / i2
+    return summarize(series).rho
 
 
 def asymptotic_constant(series: CosineSeries) -> float:
@@ -245,12 +235,12 @@ def asymptotic_constant(series: CosineSeries) -> float:
     Under that hypothesis every B2[g] set A in [0, N] satisfies
     |A| <~ sqrt(c (2g-1) N) as N grows.
     """
-    i1 = integral_i1(series)
-    if not i1 < 0:
+    summary = summarize(series)
+    if not summary.i1 < 0:
         raise HypothesisError(
-            f"asymptotic constant requires I1 < 0, got I1 = {i1!r}"
+            f"asymptotic constant requires I1 < 0, got I1 = {summary.i1!r}"
         )
-    return 2.0 * (1.0 - ratio_rho(series))
+    return 2.0 * (1.0 - summary.rho)
 
 
 def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
@@ -280,17 +270,35 @@ def curvature_bound(series: CosineSeries) -> float:
 
 
 def summarize(series: CosineSeries) -> FunctionalSummary:
-    """Bundle (I1, I2, rho, w(0), A-upper) for the bound evaluators."""
-    i1 = integral_i1(series)
-    i2 = integral_i2(series)
+    """Bundle (I1, I2, rho, w(0), A-upper) for the bound evaluators.
+
+    The one place I1 and I2 are combined into rho, so it holds the guards:
+    the zero series has no rho, an I2 that is not a positive finite double
+    (coefficients small enough to underflow it or large enough to overflow
+    it) would give a meaningless one, and an infinite A-upper (a frequency
+    too large to square) no finite-N bound.  All raise DomainError.
+    """
     if series.is_zero():
-        raise DomainError("summary is undefined for the identically zero series")
+        raise DomainError("rho is undefined for the identically zero series")
+    with np.errstate(over="ignore"):  # overflows are reported just below
+        i1 = integral_i1(series)
+        i2 = integral_i2(series)
+        a_upper = curvature_bound(series)
+    if not 0.0 < i2 < math.inf:
+        raise DomainError(
+            f"I2 = {i2!r} is not a positive finite double; the coefficients "
+            "are too small or too large for double precision"
+        )
+    if not math.isfinite(a_upper):
+        raise DomainError(
+            "A-upper overflows double precision; a frequency is too large"
+        )
     return FunctionalSummary(
         i1=i1,
         i2=i2,
         rho=i1 * i1 / i2,
         w0=float(np.sum(series.coeffs)),
-        a_upper=curvature_bound(series),
+        a_upper=a_upper,
     )
 
 

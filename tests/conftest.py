@@ -12,7 +12,9 @@ def make_series(rng, k_max=10, fmax=30.0, bmax=2.0, zero_freq=False):
     """Random admissible series; zero_freq moves the first term to theta = 0."""
     series = random_series(rng, k_max, fmax, bmax)
     if zero_freq:
-        series = CosineSeries([(series.terms[0].coeff, 0.0), *series.terms[1:]])
+        freqs = series.freqs.copy()
+        freqs[0] = 0.0
+        series = CosineSeries(zip(series.coeffs, freqs))
     return series
 
 

@@ -1,23 +1,33 @@
 """Command-line behavior: exit codes, JSON shape, determinism, config."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from b2gbounds import cli
+
 SERIES_SINGLE = '{"terms": [{"b": 1.0, "theta": 0.75}]}\n'
 SERIES_CONSTANT = '{"terms": [{"b": 1.0, "theta": 0.0}]}\n'
+# I2 underflows to 0 for the first and overflows to inf for the second;
+# A-upper overflows for the third
+SERIES_TINY = '{"terms": [{"b": 1e-200, "theta": 0.75}]}\n'
+SERIES_HUGE = '{"terms": [{"b": 1e300, "theta": 0.75}, {"b": 1e300, "theta": 1.7}]}\n'
+SERIES_HIGH_FREQ = '{"terms": [{"b": 1.0, "theta": 1e160}]}\n'
 
 
-def run_cli(*argv, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "b2gbounds.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        timeout=300,
-    )
+def run_cli(*argv):
+    """cli.main in this process, with the exit code and output of a b2g run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse errors and --version
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
@@ -28,9 +38,15 @@ def series_file(tmp_path):
 
 
 def test_version_flag():
-    proc = run_cli("--version")
-    assert proc.returncode == 0
-    assert proc.stdout.strip()
+    # the one test that goes through the module entry point
+    proc = subprocess.run(
+        [sys.executable, "-m", "b2gbounds.cli", "--version"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip()
+    assert proc.stdout == run_cli("--version").stdout
 
 
 def test_analyze_reports_constant(series_file):
@@ -68,6 +84,18 @@ def test_analyze_hypothesis_gate_exits_3(tmp_path):
     # without the gate the constant is withheld rather than invented
     obj = json.loads(run_cli("analyze", str(path)).stdout)
     assert obj["constant"] is None
+
+
+@pytest.mark.parametrize(
+    "text", [SERIES_TINY, SERIES_HUGE, SERIES_HIGH_FREQ], ids=["tiny", "huge", "high-freq"]
+)
+def test_summary_out_of_range_exits_3(tmp_path, text):
+    path = tmp_path / "series.json"
+    path.write_text(text)
+    for argv in (["analyze", str(path)], ["bound", str(path), "--n", "1000", "--g", "2"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3
+        assert "double precision" in proc.stderr and proc.stdout == ""
 
 
 def test_analyze_emit_samples(series_file, tmp_path):
@@ -124,6 +152,12 @@ def test_search_exact_and_budget(tmp_path):
     # a negative budget is an input error, not an exhausted budget
     assert run_cli("search", "--g", "2", "--n", "14", "--budget", "-1").returncode == 2
     assert run_cli("search", "--g", "1", "--n", "10", "--threads", "2").returncode == 2
+    # the table mode honours the budget and rejects a negative N too
+    proc = run_cli("search", "--g", "2", "--n", "30", "--table", "--budget", "5")
+    assert proc.returncode == 4
+    assert "lower bound" in proc.stderr and proc.stdout == ""
+    proc = run_cli("search", "--g", "1", "--n", "-3", "--table")
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 def test_search_manifest_stats(tmp_path):

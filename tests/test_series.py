@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from b2gbounds import (
     CosineSeries,
-    CosineTerm,
     DomainError,
     HypothesisError,
     ValidationError,
@@ -89,12 +88,12 @@ def test_kernel_s_even_and_bounded():
 
 
 def test_term_validation():
-    with pytest.raises(ValidationError):
-        CosineTerm(coeff=-0.1, freq=1.0)
-    with pytest.raises(ValidationError):
-        CosineTerm(coeff=1.0, freq=-2.0)
-    with pytest.raises(ValidationError):
-        CosineTerm(coeff=float("nan"), freq=1.0)
+    with pytest.raises(ValidationError, match="coefficient"):
+        CosineSeries([(1.0, 0.5), (-0.1, 1.0)])
+    with pytest.raises(ValidationError, match="frequency"):
+        CosineSeries([(1.0, -2.0)])
+    with pytest.raises(ValidationError, match="non-finite"):
+        CosineSeries([(float("nan"), 1.0)])
 
 
 def test_eval_w_scalar_and_array_agree():
@@ -148,6 +147,20 @@ def test_integrals_match_quadrature(rng):
 def test_rho_on_zero_series_is_domain_error():
     with pytest.raises(DomainError):
         ratio_rho(CosineSeries([(0.0, 1.0)]))
+
+
+def test_summary_outside_double_range_is_domain_error():
+    # I1 stays finite and negative in the first two, but I2 underflows to 0
+    # and overflows to inf; in the third A-upper overflows
+    cases = [
+        ([(1e-200, 0.75)], "I2"),
+        ([(1e300, 0.75), (1e300, 1.7)], "I2"),
+        ([(1.0, 1e160)], "A-upper"),
+    ]
+    for terms, what in cases:
+        for fn in (summarize, ratio_rho, asymptotic_constant):
+            with pytest.raises(DomainError, match=what):
+                fn(CosineSeries(terms))
 
 
 def test_asymptotic_constant_requires_negative_i1():
@@ -236,6 +249,10 @@ def test_summarize_consistency(rng):
     assert s.rho == ratio_rho(series)
     assert s.w0 == eval_w(series, 0.0)
     assert s.a_upper == curvature_bound(series)
+    # the CLI's key order
+    assert list(s.to_obj().items()) == [
+        ("i1", s.i1), ("i2", s.i2), ("rho", s.rho), ("w0", s.w0), ("a_upper", s.a_upper)
+    ]
 
 
 # -- structural properties (hypothesis) -------------------------------------
