@@ -161,11 +161,14 @@ def bound_monotone_in_g(named_series, n_values):
 
 
 def coefficient_convergence(named_series, n_values):
-    """At g = 2 the gap to sqrt(2 (1 - rho)) does not grow along n_values."""
+    """At g = 2 the gap to sqrt(2 (1 - rho)) does not grow along n_values.
+
+    Every series needs I1 < 0, the hypothesis of the asymptotic constant.
+    """
     bad = 0
     details = []
     for name, series in named_series:
-        target = math.sqrt(2.0 * (1.0 - summarize(series).rho))
+        target = math.sqrt(summarize(series).constant)
         gaps = [
             abs(max_size_bound(series, n, 2).coefficient - target) for n in n_values
         ]

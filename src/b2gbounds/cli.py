@@ -8,12 +8,14 @@ Subcommands
     search    exact F(g, N) by branch and bound (optionally a CSV table)
     verify    self-check suites (identities / lemmas / bounds)
 
-Every numeric output is JSON with 17-significant-digit decimals, so repeated
-runs with identical flags are byte-identical.  When --out is given, a run
-manifest (command, inputs, outputs, tool version, timestamp, tolerances and,
-for optimize and search, run statistics) is written alongside the output
-file; the timestamp and the statistics' wall time are the only fields
-excluded from reproducibility guarantees.
+This module only parses flags and prints results: library defaults and all
+arithmetic stay in the library, and b2g <cmd> --help shows every default.
+Numeric output is JSON with 17-significant-digit decimals, so repeated runs
+with identical flags are byte-identical.  With --out, _emit also writes the
+result there plus a run manifest (command, the inputs actually used,
+outputs, tool version, timestamp, tolerances and, for optimize and search,
+run statistics); the timestamp and the statistics' wall time are the only
+fields excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted, 5 verification failure.
@@ -42,9 +44,9 @@ from .errors import (
     InputError,
     ToleranceError,
 )
-from .family import optimize
+from .family import GRAD_TOL, MAX_ITER, optimize
 from .series import eval_w, summarize
-from .yu import LIMIT, YuParams, yu_evaluate
+from .yu import LIMIT, TOL, YuParams, yu_evaluate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,8 +59,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -86,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key=value defaults file; flags win")
-        p.add_argument("--out", help="write the JSON result to this path")
+        p.add_argument("--out", help="write the result to this path")
 
     p = sub.add_parser("analyze", help="functionals of a series file")
     p.add_argument("series_file")
@@ -119,7 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", help="truncation order M >= 0")
     group.add_argument("--limit", action="store_true", help="M -> infinity")
-    p.add_argument("--tol", type=float, default=None, help="certified tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=TOL,
+        help="certified tolerance (default %(default)g)",
+    )
     common(p)
     p.set_defaults(func=cmd_yu)
 
@@ -132,13 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
-        "--max-iter", type=int, default=None, help="cap on trust-region Newton iterations"
+        "--max-iter",
+        type=int,
+        default=MAX_ITER,
+        help="cap on trust-region Newton iterations (default %(default)d)",
     )
     p.add_argument(
         "--grad-tol",
         type=float,
-        default=None,
-        help="converged when the projected-gradient infinity norm is below this",
+        default=GRAD_TOL,
+        help="converged when the projected-gradient infinity norm is below this "
+        "(default %(default)g)",
     )
     common(p)
     p.set_defaults(func=cmd_optimize)
@@ -164,12 +173,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=0,
         help="draws the identities and lemmas samples; "
-        "the bounds suite is deterministic",
+        "the bounds suite is deterministic (default %(default)d)",
     )
     p.add_argument(
-        "--nmax", type=int, default=None, help="enumeration depth for lemma scans"
+        "--nmax",
+        type=int,
+        default=14,
+        help="enumeration depth for lemma scans (default %(default)d)",
     )
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -178,36 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # -- plumbing ------------------------------------------------------------
-
-
-def _load_config(path: str) -> dict:
-    """Flat key = value lines; '#' comments; values read as strings."""
-    config = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                config[key.strip()] = value.strip().strip('"')
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    return config
-
-
-def _resolve(flag_value, config, key, default, cast):
-    """Precedence: explicit flag > config file > default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise InputError(f"config key {key}={config[key]!r}: {exc}") from exc
-    return default
 
 
 def _parse_count(text: str, what: str) -> int:
@@ -225,32 +207,28 @@ def _parse_count(text: str, what: str) -> int:
     return value
 
 
-def _emit(args, obj, tolerances: dict | None = None, stats: dict | None = None) -> None:
-    """Print the JSON result; mirror it to --out plus a manifest if asked.
+def _emit(
+    args, text: str, tolerances: dict | None = None, stats: dict | None = None
+) -> None:
+    """Print text; with --out also write it there, then the run manifest.
 
     stats (run statistics) go to the manifest only, never to stdout.
     """
-    text = jsonutil.dumps(obj)
     sys.stdout.write(text)
-    if args.out:
-        jsonutil.write_text_atomic(args.out, text)
-        _write_manifest(args, [args.out], tolerances or {}, stats)
-
-
-def _write_manifest(args, outputs, tolerances, stats=None) -> None:
-    skip = {"func", "config", "out", "command"}
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in skip and not k.startswith("_")
-    }
+    if not args.out:
+        return
+    jsonutil.write_text_atomic(args.out, text)
     manifest = {
         "command": args.command,
-        "inputs": inputs,
-        "outputs": [os.path.abspath(p) for p in outputs],
+        "inputs": {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "out", "command")
+        },
+        "outputs": [os.path.abspath(args.out)],
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tolerances": tolerances,
+        "tolerances": tolerances or {},
     }
     if stats is not None:
         manifest["stats"] = stats
@@ -260,18 +238,17 @@ def _write_manifest(args, outputs, tolerances, stats=None) -> None:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_analyze(args, config) -> int:
+def cmd_analyze(args) -> int:
     series = jsonutil.load_series(args.series_file)
     summary = summarize(series)
-    negative = summary.i1 < 0
-    if args.require_negative_i1 and not negative:
+    if args.require_negative_i1 and summary.constant is None:
         raise HypothesisError(
             f"I1 = {summary.i1!r} is not negative for {args.series_file}"
         )
     obj = {
         "summary": summary.to_obj(),
-        "i1_negative": negative,
-        "constant": 2.0 * (1.0 - summary.rho) if negative else None,
+        "i1_negative": summary.constant is not None,
+        "constant": summary.constant,
     }
     if args.emit_samples is not None:
         if args.emit_samples < 1:
@@ -287,30 +264,27 @@ def cmd_analyze(args, config) -> int:
             buf.write(f"{jsonutil.fmt17(t)},{jsonutil.fmt17(w)}\n")
         jsonutil.write_text_atomic(path, buf.getvalue())
         obj["samples"] = os.path.abspath(path)
-    _emit(args, obj)
+    _emit(args, jsonutil.dumps(obj))
     return EXIT_OK
 
 
-def cmd_bound(args, config) -> int:
+def cmd_bound(args) -> int:
     series = jsonutil.load_series(args.series_file)
     n = _parse_count(args.n, "--n")
     report = max_size_bound(series, n, args.g)
-    _emit(args, report.to_obj())
+    _emit(args, jsonutil.dumps(report.to_obj()))
     return EXIT_OK
 
 
-def cmd_yu(args, config) -> int:
-    tol = _resolve(args.tol, config, "tol", 1e-9, float)
+def cmd_yu(args) -> int:
     truncation = LIMIT if args.limit else _parse_count(args.m, "--m")
     params = YuParams(lam=args.lam, truncation=truncation)
-    result = yu_evaluate(params, tol)
-    _emit(args, result.to_obj(), tolerances={"tol": tol})
+    result = yu_evaluate(params, args.tol)
+    _emit(args, jsonutil.dumps(result.to_obj()), tolerances={"tol": args.tol})
     return EXIT_OK
 
 
-def cmd_optimize(args, config) -> int:
-    max_iter = _resolve(args.max_iter, config, "max-iter", 20000, int)
-    grad_tol = _resolve(args.grad_tol, config, "grad-tol", 1e-10, float)
+def cmd_optimize(args) -> int:
     init = args.init
     if init not in ("paper", "yu-like", "random") and (
         init.endswith(".json") or os.path.exists(init)
@@ -318,7 +292,7 @@ def cmd_optimize(args, config) -> int:
         init = jsonutil.load_params(init)
     start = time.perf_counter()
     result = optimize(
-        args.m, init, max_iter=max_iter, grad_tol=grad_tol, seed=args.seed
+        args.m, init, max_iter=args.max_iter, grad_tol=args.grad_tol, seed=args.seed
     )
     wall_s = time.perf_counter() - start
     obj = jsonutil.params_to_obj(
@@ -336,11 +310,13 @@ def cmd_optimize(args, config) -> int:
         "pg_norm": result.pg_norm,
         "wall_s": wall_s,
     }
-    _emit(args, obj, tolerances={"grad_tol": grad_tol}, stats=stats)
+    _emit(
+        args, jsonutil.dumps(obj), tolerances={"grad_tol": args.grad_tol}, stats=stats
+    )
     return EXIT_OK
 
 
-def cmd_search(args, config) -> int:
+def cmd_search(args) -> int:
     n = _parse_count(args.n, "--n")
     stats = {}
     start = time.perf_counter()
@@ -352,10 +328,7 @@ def cmd_search(args, config) -> int:
         writer.writerow(["g", "N", "F", "witness"])
         for g, n_val, size, elems in rows:
             writer.writerow([g, n_val, size, " ".join(map(str, elems))])
-        sys.stdout.write(buf.getvalue())
-        if args.out:
-            jsonutil.write_text_atomic(args.out, buf.getvalue())
-            _write_manifest(args, [args.out], {}, stats)
+        _emit(args, buf.getvalue(), stats=stats)
         return EXIT_OK
     size, witness = exhaustive_f(args.g, n, budget=args.budget, stats=stats)
     stats["wall_s"] = time.perf_counter() - start
@@ -365,30 +338,30 @@ def cmd_search(args, config) -> int:
         "F": size,
         "witness": jsonutil.intset_to_obj(witness),
     }
-    _emit(args, obj, stats=stats)
+    _emit(args, jsonutil.dumps(obj), stats=stats)
     return EXIT_OK
 
 
-def cmd_verify(args, config) -> int:
-    seed = _resolve(args.seed, config, "seed", 0, int)
-    nmax = _resolve(args.nmax, config, "nmax", 14, int)
-    if seed < 0:
-        raise InputError(f"--seed must be >= 0, got {seed}")
-    if nmax < 1:
-        raise InputError(f"--nmax must be >= 1, got {nmax}")
+def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if args.nmax < 1:
+        raise InputError(f"--nmax must be >= 1, got {args.nmax}")
     suites = {
-        "identities": lambda: checks.suite_identities(seed),
-        "lemmas": lambda: checks.suite_lemmas(seed, nmax),
+        "identities": lambda: checks.suite_identities(args.seed),
+        "lemmas": lambda: checks.suite_lemmas(args.seed, args.nmax),
         "bounds": checks.suite_bounds,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    lines = []
     failures = 0
     for name in names:
         for check, passed, detail in suites[name]():
             verdict = "PASS" if passed else "FAIL"
-            print(f"[{name}] {verdict} {check}: {detail}")
+            lines.append(f"[{name}] {verdict} {check}: {detail}\n")
             failures += 0 if passed else 1
-    print(f"{'all checks passed' if failures == 0 else f'{failures} FAILED'}")
+    lines.append("all checks passed\n" if failures == 0 else f"{failures} FAILED\n")
+    _emit(args, "".join(lines))
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

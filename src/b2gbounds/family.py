@@ -51,6 +51,10 @@ EPS = float(np.finfo(float).eps)
 TR_RADIUS0 = 1.0
 TR_ACCEPT = 1e-4
 ROUNDING = 64.0 * EPS
+# Default stopping rule of optimize, also the defaults of b2g optimize's
+# --max-iter and --grad-tol: iteration cap and projected-gradient tolerance.
+MAX_ITER = 20000
+GRAD_TOL = 1e-10
 
 # Reference optimum prefix: first 51 y-values and 50 c-values of a converged
 # M=400 run of this optimizer (tabulated to 15 digits).  Used by the "paper"
@@ -374,8 +378,8 @@ def optimize(
     m: int,
     init: FamilyParams | str = "yu-like",
     *,
-    max_iter: int = 20000,
-    grad_tol: float = 1e-10,
+    max_iter: int = MAX_ITER,
+    grad_tol: float = GRAD_TOL,
     seed=None,
     callback=None,
 ) -> OptimizeResult:

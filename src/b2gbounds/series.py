@@ -26,7 +26,8 @@ CosineSeries stores the coefficients b and frequencies theta as two float
 arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
 together; ratio_rho and asymptotic_constant read theirs from it, so its
 guards (the zero series, I2 or A-upper outside the double range) cover all
-three.
+three.  FunctionalSummary.constant is the one place that forms c and tests
+I1 < 0.
 
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
@@ -80,7 +81,10 @@ def sinc(x):
     small = np.abs(x) < SINC_CUT
     safe = np.where(small, 1.0, x)
     out = np.sin(safe) / safe
-    u2 = x * x
+    # the polynomial sees 0 where the direct branch is taken, so a huge x
+    # cannot overflow x * x there
+    small_x = np.where(small, x, 0.0)
+    u2 = small_x * small_x
     taylor = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
     return np.where(small, taylor, out)
 
@@ -91,7 +95,9 @@ def dsinc(x):
     small = np.abs(x) < DSINC_CUT
     safe = np.where(small, 1.0, x)
     out = (np.cos(safe) - np.sin(safe) / safe) / safe
-    return np.where(small, x * _even_poly(x * x, _DSINC_TAYLOR), out)
+    small_x = np.where(small, x, 0.0)
+    taylor = small_x * _even_poly(small_x * small_x, _DSINC_TAYLOR)
+    return np.where(small, taylor, out)
 
 
 def d2sinc(x):
@@ -102,7 +108,8 @@ def d2sinc(x):
     out = ((2.0 - safe * safe) * np.sin(safe) - 2.0 * safe * np.cos(safe)) / (
         safe * safe * safe
     )
-    return np.where(small, _even_poly(x * x, _D2SINC_TAYLOR), out)
+    small_x = np.where(small, x, 0.0)
+    return np.where(small, _even_poly(small_x * small_x, _D2SINC_TAYLOR), out)
 
 
 def kernel_s(x):
@@ -196,6 +203,12 @@ class FunctionalSummary:
     w0: float
     a_upper: float
 
+    @property
+    def constant(self) -> float | None:
+        """c = 2 (1 - rho) when I1 < 0, the hypothesis of the asymptotic
+        bound; None otherwise.  Not part of to_obj."""
+        return 2.0 * (1.0 - self.rho) if self.i1 < 0 else None
+
     def to_obj(self) -> dict:
         """{i1, i2, rho, w0, a_upper}, the summary as the CLI writes it."""
         return asdict(self)
@@ -236,11 +249,11 @@ def asymptotic_constant(series: CosineSeries) -> float:
     |A| <~ sqrt(c (2g-1) N) as N grows.
     """
     summary = summarize(series)
-    if not summary.i1 < 0:
+    if summary.constant is None:
         raise HypothesisError(
             f"asymptotic constant requires I1 < 0, got I1 = {summary.i1!r}"
         )
-    return 2.0 * (1.0 - summary.rho)
+    return summary.constant
 
 
 def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:

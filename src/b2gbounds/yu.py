@@ -42,6 +42,9 @@ LIMIT = "limit"
 # head sums run over <= 2^23 doubles with pairwise summation, which keeps
 # accumulated rounding far below this.
 ROUND_SLACK = 1e-13
+# Default certified tolerance of yu_evaluate and yu_constant, also the
+# default of b2g yu --tol.
+TOL = 1e-9
 
 _M0_START = 1000
 _M0_MAX = 2**23
@@ -121,7 +124,7 @@ def yu_functionals(lam: float, m: int) -> tuple[float, float]:
 
     q = 1.0 / (np.arange(2 * m + 1, dtype=float) + 2.0 * lam) ** 2
     prefix = np.concatenate([[0.0], np.cumsum(q)])  # prefix[j] = sum_{i<j} q_i
-    inner = prefix[np.arange(m + 1) + m + 1] - prefix[np.arange(m + 1)]
+    inner = prefix[m + 1 :] - prefix[: m + 1]
     t_sum = 2.0 * float(inv @ inner)
     i2 = 0.5 * sum_inv2 + math.sin(4.0 * math.pi * lam) / (4.0 * math.pi) * t_sum
     return i1, i2
@@ -158,7 +161,7 @@ def _limit_enclosure(lam: float, m0: int) -> tuple[float, float]:
     return 0.5 * (c_lo + c_hi), 0.5 * (c_hi - c_lo)
 
 
-def yu_evaluate(params: YuParams, tol: float = 1e-9) -> YuResult:
+def yu_evaluate(params: YuParams, tol: float = TOL) -> YuResult:
     """Asymptotic constant of the family with a certified error bound.
 
     Finite truncations are closed-form exact up to rounding; the limit is
@@ -197,7 +200,7 @@ def yu_evaluate(params: YuParams, tol: float = 1e-9) -> YuResult:
     return YuResult(params.lam, LIMIT, c_double, error)
 
 
-def yu_constant(params: YuParams, tol: float = 1e-9) -> float:
+def yu_constant(params: YuParams, tol: float = TOL) -> float:
     """Convenience scalar wrapper over yu_evaluate."""
     return yu_evaluate(params, tol).constant
 

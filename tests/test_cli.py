@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, JSON shape, determinism, config."""
+"""Command-line behavior: exit codes, JSON shape, determinism, manifests."""
 
 import contextlib
 import io
@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from b2gbounds import cli
+from b2gbounds import CosineSeries, asymptotic_constant, cli
 
 SERIES_SINGLE = '{"terms": [{"b": 1.0, "theta": 0.75}]}\n'
 SERIES_CONSTANT = '{"terms": [{"b": 1.0, "theta": 0.0}]}\n'
@@ -55,6 +55,7 @@ def test_analyze_reports_constant(series_file):
     obj = json.loads(proc.stdout)
     assert obj["i1_negative"] is True
     assert obj["constant"] == pytest.approx(1.8198734513025105, rel=1e-12)
+    assert obj["constant"] == asymptotic_constant(CosineSeries([(1.0, 0.75)]))
     assert obj["summary"]["i2"] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -263,29 +264,52 @@ def test_optimize_init_from_params_file(tmp_path):
     assert proc.returncode == 2  # order mismatch is an input error
 
 
-def test_config_file_precedence(tmp_path, series_file):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "SERIES"],
+        ["bound", "SERIES", "--n", "100", "--g", "2"],
+        ["yu", "--lambda", "0.75", "--m", "10"],
+        ["optimize", "--m", "2"],
+        ["search", "--g", "1", "--n", "7"],
+        ["verify", "--suite", "bounds"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_flag_is_rejected(tmp_path, series_file, argv):
+    # every setting has exactly one channel, its flag
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# defaults\ntol = 1e-3\nthreads = 2\n")
-    loose = json.loads(
-        run_cli("yu", "--config", str(cfg), "--lambda", "0.75", "--limit").stdout
-    )
-    assert loose["error_bound"] <= 1e-3
-    tight = json.loads(
-        run_cli(
-            "yu", "--config", str(cfg), "--lambda", "0.75", "--limit",
-            "--tol", "1e-9",
-        ).stdout
-    )
-    assert tight["error_bound"] <= 1e-9  # explicit flag beats config
-    bad = tmp_path / "bad.txt"
-    bad.write_text("tol 1e-3\n")
-    assert (
-        run_cli("yu", "--config", str(bad), "--lambda", "0.75", "--limit").returncode
-        == 2
-    )
+    cfg.write_text("tol = 1e-3\n")
+    argv = [series_file if a == "SERIES" else a for a in argv]
+    proc = run_cli(*argv, "--config", str(cfg))
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
-def test_verify_command_passes(tmp_path):
+def test_manifest_records_effective_settings(tmp_path):
+    # defaults come from the library and are recorded as used, never null
+    from b2gbounds.family import GRAD_TOL, MAX_ITER
+    from b2gbounds.yu import TOL
+
+    def manifest(*argv):
+        out = str(tmp_path / f"{argv[0]}.out")
+        proc = run_cli(*argv, "--out", out)
+        with open(out) as fh:
+            assert fh.read() == proc.stdout
+        with open(out + ".manifest.json") as fh:
+            return json.load(fh)
+
+    yu = manifest("yu", "--lambda", "0.75", "--m", "10")
+    assert yu["inputs"]["tol"] == yu["tolerances"]["tol"] == TOL
+    opt = manifest("optimize", "--m", "2")
+    assert opt["inputs"]["max_iter"] == MAX_ITER
+    assert opt["inputs"]["grad_tol"] == opt["tolerances"]["grad_tol"] == GRAD_TOL
+    ver = manifest("verify", "--suite", "bounds")
+    assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (0, 14)
+    ver = manifest("verify", "--suite", "lemmas", "--seed", "4", "--nmax", "6")
+    assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (4, 6)
+
+
+def test_verify_command_passes():
     proc = run_cli("verify", "--suite", "all", "--seed", "3")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout
@@ -293,13 +317,10 @@ def test_verify_command_passes(tmp_path):
     # a scan over no sets would pass vacuously
     proc = run_cli("verify", "--suite", "lemmas", "--nmax", "-1")
     assert proc.returncode == 2 and "all checks passed" not in proc.stdout
-    # a negative seed is an input error, from the flag or the config file
+    # a negative seed is an input error
     proc = run_cli("verify", "--suite", "bounds", "--seed", "-1")
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed = -1\n")
-    proc = run_cli("verify", "--suite", "bounds", "--config", str(cfg))
-    assert proc.returncode == 2 and "all checks passed" not in proc.stdout
+    assert "all checks passed" not in proc.stdout
 
 
 def test_verify_failure_exits_5(monkeypatch, capsys):

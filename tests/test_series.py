@@ -33,6 +33,7 @@ from b2gbounds.series import (
     coefficient_decay_bound,
     d2sinc,
     dsinc,
+    kernel_ds,
     kernel_s,
     parseval_tail_bound,
     reconstruction_tail_bound,
@@ -82,6 +83,15 @@ def test_kernel_s_even_and_bounded():
     for theta in np.linspace(-40, 40, 4001):
         assert kernel_s(theta) == kernel_s(-theta)
         assert abs(kernel_s(theta)) <= 1.0 + 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernels_do_not_overflow_at_huge_arguments():
+    # the Taylor polynomial must not square an argument the direct branch takes
+    theta = 1e160
+    values = [kernel_s(theta), kernel_ds(theta)]
+    values += list(fourier_coefficients(CosineSeries([(1.0, theta)]), 2))
+    assert all(math.isfinite(v) for v in values)
 
 
 # -- construction and evaluation -------------------------------------------
@@ -164,8 +174,10 @@ def test_summary_outside_double_range_is_domain_error():
 
 
 def test_asymptotic_constant_requires_negative_i1():
+    constant_series = CosineSeries([(1.0, 0.0)])
+    assert summarize(constant_series).constant is None
     with pytest.raises(HypothesisError):
-        asymptotic_constant(CosineSeries([(1.0, 0.0)]))
+        asymptotic_constant(constant_series)
 
 
 # -- Fourier data -----------------------------------------------------------
