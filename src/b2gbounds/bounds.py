@@ -10,9 +10,20 @@ where b0 is the series coefficient at frequency zero.  A negative radicand
 (2g-1) N s^2 - s^4/2 + s^3 < 0 is impossible for a real B2[g] set of size s,
 so such sizes are infeasible outright.
 
-max_size_bound scans all candidate sizes and reports the largest one not
-excluded; as N grows the normalized bound max_size / sqrt((2g-1) N) converges
-to sqrt(2 (1 - I1^2/I2)) whenever I1 < 0.
+A size s survives when its radicand is nonnegative and the margin
+h(s) = majorant - b0 s^2 is nonnegative.  The survivors are exactly the sizes
+1 .. s*: with a = (2g-1)N, beta the factor in front of the square root and
+q = I1 + A+/(4N^2) - b0,
+
+    h(s)/s = q s + (w0 - I1) + beta * sqrt(a + s - s^2/2)
+
+is a linear function plus the square root of a concave function, so for any
+sign of q it is concave on the interval where a + s - s^2/2 >= 0 (outside it
+every size is infeasible).  Its nonnegative set is therefore an interval,
+and it contains s = 1 because h(1) >= 0.  max_size_bound finds s* by
+bisection over [1, scan_limit], in O(log N) evaluations of the majorant.
+As N grows the normalized bound max_size / sqrt((2g-1) N) converges to
+sqrt(2 (1 - I1^2/I2)) whenever I1 < 0.
 """
 
 from __future__ import annotations
@@ -28,6 +39,9 @@ from .series import CosineSeries, FunctionalSummary, summarize
 # |A|^2, reported per unit (2g-1)N resp. per g.  Never used in computation.
 REFERENCE_COEFF_PER_G = 3.1694
 REFERENCE_COEFF_PER_2G1 = 1.74217
+# Every integer up to 2**53 is an exact double; above it float(size) rounds
+# and the bound would be silently inexact.
+MAX_EXACT_SIZE = 2**53
 
 
 def reference_min(g: int) -> float:
@@ -37,7 +51,7 @@ def reference_min(g: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of a finite-N scan for one (series, N, g) triple."""
+    """Outcome of the finite-N bound for one (series, N, g) triple."""
 
     n: int
     g: int
@@ -93,40 +107,67 @@ def finite_majorant(
 
 
 def scan_limit(n: int, g: int) -> int:
-    """Largest size the scan must consider: floor(sqrt(2(2g-1)N)) + 2.
+    """Largest size the bound must consider: floor(sqrt(2(2g-1)N)) + 2, the
+    upper end of max_size_bound's bisection bracket.
 
     Beyond this every radicand is negative, so no feasible size is missed.
     """
     return math.isqrt(2 * (2 * g - 1) * n) + 2
 
 
-def max_size_bound(series: CosineSeries, n: int, g: int) -> BoundReport:
+def max_size_bound(
+    series: CosineSeries, n: int, g: int, stats: dict | None = None
+) -> BoundReport:
     """Largest set size not excluded by the finite-N estimate.
 
-    The scan over s = 1 .. scan_limit is exhaustive (no monotonicity in s is
-    assumed); a size survives when its radicand is nonnegative and
+    A size survives when its radicand is nonnegative and
     b0 * s^2 <= finite_majorant(s), with b0 the coefficient at frequency 0
     (0 if the series has no constant term, in which case the estimate is the
-    trivial one and every feasible size survives).
+    trivial one and every feasible size survives).  The survivors are
+    exactly 1 .. max_size (the concavity lemma in the module docstring), so
+    bisection over [1, scan_limit] finds max_size after at most
+    1 + ceil(log2(scan_limit)) sizes, each judged by that same float test.
+    If stats is a dict, its "sizes_evaluated" entry receives the count.
+
+    Raises ValidationError when scan_limit exceeds 2**53, past which sizes
+    are no longer exact doubles.
     """
     _check_np(n, g)
+    limit = scan_limit(n, g)
+    if limit > MAX_EXACT_SIZE:
+        raise ValidationError(
+            f"N = {n}, g = {g} needs sizes up to {limit}, beyond 2**53 where "
+            "sizes are no longer exact doubles"
+        )
     summary = summarize(series)
     b0 = float(series.coeffs[series.freqs == 0.0].sum())
-    best = 0
-    for s in range(1, scan_limit(n, g) + 1):
+    evaluated = 0
+
+    def survives(s: int) -> bool:
+        nonlocal evaluated
+        evaluated += 1
         rhs = finite_majorant(summary, n, g, s)
-        if rhs is None:
-            continue
-        if b0 * s * s <= rhs:
-            best = s
-    if best < 1:
+        return rhs is not None and b0 * s * s <= rhs
+
+    if not survives(1):
         # cannot happen: s = 1 always survives (rhs >= w0 >= b0)
-        raise AssertionError("size scan excluded s = 1")
+        raise AssertionError("size bound excluded s = 1")
+    # invariant: lo survives and hi does not (every size above limit is
+    # infeasible), so the largest survivor lies in [lo, hi)
+    lo, hi = 1, limit + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if survives(mid):
+            lo = mid
+        else:
+            hi = mid
+    if stats is not None:
+        stats["sizes_evaluated"] = evaluated
     return BoundReport(
         n=n,
         g=g,
-        max_size=best,
-        coefficient=best / math.sqrt((2 * g - 1) * n),
+        max_size=lo,
+        coefficient=lo / math.sqrt((2 * g - 1) * n),
         reference_min=reference_min(g),
         summary=summary,
     )

@@ -13,9 +13,9 @@ arithmetic stay in the library, and b2g <cmd> --help shows every default.
 Numeric output is JSON with 17-significant-digit decimals, so repeated runs
 with identical flags are byte-identical.  With --out, _emit also writes the
 result there plus a run manifest (command, the inputs actually used,
-outputs, tool version, timestamp, tolerances and, for optimize and search,
-run statistics); the timestamp and the statistics' wall time are the only
-fields excluded from reproducibility guarantees.
+outputs, tool version, timestamp, tolerances and, for optimize, search and
+bound, run statistics); the timestamp and the statistics' wall time are the
+only fields excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted, 5 verification failure.
@@ -199,9 +199,9 @@ def _parse_count(text: str, what: str) -> int:
     except ValueError:
         try:
             as_float = float(text)
-        except ValueError as exc:
+            value = int(as_float)  # OverflowError for inf, ValueError for nan
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"{what} must be an integer, got {text!r}") from exc
-        value = int(as_float)
         if value != as_float:
             raise InputError(f"{what} must be an integer, got {text!r}")
     return value
@@ -271,8 +271,11 @@ def cmd_analyze(args) -> int:
 def cmd_bound(args) -> int:
     series = jsonutil.load_series(args.series_file)
     n = _parse_count(args.n, "--n")
-    report = max_size_bound(series, n, args.g)
-    _emit(args, jsonutil.dumps(report.to_obj()))
+    stats = {}
+    start = time.perf_counter()
+    report = max_size_bound(series, n, args.g, stats=stats)
+    stats["wall_s"] = time.perf_counter() - start
+    _emit(args, jsonutil.dumps(report.to_obj()), stats=stats)
     return EXIT_OK
 
 

@@ -57,6 +57,9 @@ SINC_CUT = 1e-4
 # derivative) and 1e-13 (second derivative).
 DSINC_CUT = 0.2
 D2SINC_CUT = 0.2
+# x^3 overflows past |x| ~ 5.6e102, so from D2SINC_BIG on the second
+# derivative divides by x one factor at a time.
+D2SINC_BIG = 1e100
 # sinc'(x) = x * sum_n (-1)^n 2n/(2n+1)! x^(2n-2)
 # sinc''(x) =     sum_n (-1)^n 2n(2n-1)/(2n+1)! x^(2n-2),  n = 1..6
 _DSINC_TAYLOR = tuple(
@@ -104,10 +107,17 @@ def d2sinc(x):
     """d^2/dx^2 [sin(x)/x]; accepts scalars or arrays."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < D2SINC_CUT
-    safe = np.where(small, 1.0, x)
+    big = np.abs(x) >= D2SINC_BIG
+    safe = np.where(small | big, 1.0, x)
     out = ((2.0 - safe * safe) * np.sin(safe) - 2.0 * safe * np.cos(safe)) / (
         safe * safe * safe
     )
+    if big.any():
+        # the same quotient with x^3 divided out term by term, so no
+        # intermediate exceeds |x|
+        y = np.where(big, x, 1.0)
+        far = ((2.0 / y - y) * np.sin(y) - 2.0 * np.cos(y)) / y / y
+        out = np.where(big, far, out)
     small_x = np.where(small, x, 0.0)
     return np.where(small, _even_poly(small_x * small_x, _D2SINC_TAYLOR), out)
 

@@ -14,11 +14,29 @@ from b2gbounds import (
     reference_min,
     summarize,
 )
-from b2gbounds.bounds import radicand, scan_limit
+from b2gbounds.bounds import MAX_EXACT_SIZE, radicand, scan_limit
 
 from b2gbounds.checks import bound_monotone_in_g, bound_soundness
 
 from conftest import make_series, suite_series
+
+ORACLE_NS = list(range(1, 13)) + [17, 100, 12345, 10**6]
+
+
+def scan_survivors(series, n, g):
+    """Every size the finite-N estimate keeps, by the exhaustive scalar scan.
+
+    The reference for max_size_bound: each size s = 1 .. scan_limit is
+    judged by the same float test, with no assumption on their layout.
+    """
+    summary = summarize(series)
+    b0 = float(series.coeffs[series.freqs == 0.0].sum())
+    survivors = []
+    for s in range(1, scan_limit(n, g) + 1):
+        rhs = finite_majorant(summary, n, g, s)
+        if rhs is not None and b0 * s * s <= rhs:
+            survivors.append(s)
+    return survivors
 
 
 def majorant_mpmath(summary, n, g, size):
@@ -67,8 +85,8 @@ def test_radicand_sign_drives_feasibility():
 
 
 def test_scan_limit_covers_feasible_sizes():
-    # sizes beyond the scan window always have a negative radicand, so the
-    # truncated scan provably never drops a feasible size
+    # sizes beyond scan_limit always have a negative radicand, so the
+    # bisection bracket provably never drops a feasible size
     for n in [1, 10, 1000, 10**6, 10**8]:
         for g in [1, 2, 3]:
             limit = scan_limit(n, g)
@@ -88,10 +106,10 @@ def test_bound_nondecreasing_in_g():
 
 def test_coefficient_tends_to_asymptotic_constant():
     for name, series in suite_series():
-        summary = summarize(series)
-        if summary.i1 >= 0:
+        constant = summarize(series).constant
+        if constant is None:
             continue
-        target = math.sqrt(2.0 * (1.0 - summary.rho))
+        target = math.sqrt(constant)
         gaps = [
             abs(max_size_bound(series, n, 2).coefficient - target)
             for n in (10**4, 10**6, 10**8)
@@ -134,3 +152,51 @@ def test_tiny_n_has_trivial_but_valid_bound():
             report = max_size_bound(series, n, g)
             assert report.max_size >= 1
             assert report.max_size <= scan_limit(n, g)
+
+
+def test_bisection_matches_scan_oracle(rng):
+    cases = suite_series()
+    cases += [("random", make_series(rng)) for _ in range(12)]
+    cases += [("random-b0", make_series(rng, zero_freq=True)) for _ in range(12)]
+    kinds = set()
+    for name, series in cases:
+        summary = summarize(series)
+        b0 = float(series.coeffs[series.freqs == 0.0].sum())
+        for n in ORACLE_NS:
+            # q, the slope of the linear part of h(s)/s
+            q = summary.i1 + summary.a_upper / (4.0 * n * n) - b0
+            for g in (1, 2, 3, 5):
+                expected = max(scan_survivors(series, n, g))
+                stats = {}
+                report = max_size_bound(series, n, g, stats=stats)
+                assert report.max_size == expected, (name, n, g)
+                assert stats["sizes_evaluated"] <= 2 + math.ceil(
+                    math.log2(scan_limit(n, g))
+                )
+                kinds.add((b0 == 0.0, q > 0))
+    # series with and without a constant term, each with both signs of q
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_scan_survivors_form_an_interval(rng):
+    cases = [series for _, series in suite_series()[:3]]
+    cases += [make_series(rng, zero_freq=True) for _ in range(3)]
+    for series in cases:
+        for n in (1, 7, 100, 2000, 10**4):
+            for g in (1, 3):
+                survivors = scan_survivors(series, n, g)
+                assert survivors == list(range(1, len(survivors) + 1))
+                assert max_size_bound(series, n, g).max_size == len(survivors)
+
+
+def test_sizes_beyond_exact_doubles_are_rejected():
+    series = CosineSeries([(1.0, 0.75)])
+    # scan_limit(n, 1) = isqrt(2n) + 2 is exactly 2**53 at n_edge and above
+    # it at n_edge + 2**53
+    n_edge = (MAX_EXACT_SIZE - 2) ** 2 // 2
+    assert scan_limit(n_edge, 1) == MAX_EXACT_SIZE
+    report = max_size_bound(series, n_edge, 1)
+    assert 1 <= report.max_size <= MAX_EXACT_SIZE
+    assert scan_limit(n_edge + MAX_EXACT_SIZE, 1) > MAX_EXACT_SIZE
+    with pytest.raises(ValidationError, match="2\\*\\*53"):
+        max_size_bound(series, n_edge + MAX_EXACT_SIZE, 1)

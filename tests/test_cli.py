@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -122,6 +123,34 @@ def test_bound_command(series_file):
     assert obj["reference_min"] == pytest.approx(min(2 * 3.1694, 3 * 1.74217))
     # scientific count notation accepted
     assert run_cli("bound", series_file, "--n", "1e4", "--g", "1").returncode == 0
+
+
+def test_bound_manifest_stats(series_file, tmp_path):
+    from b2gbounds.bounds import scan_limit
+
+    out = str(tmp_path / "bound.json")
+    plain = run_cli("bound", series_file, "--n", "1e6", "--g", "2")
+    proc = run_cli("bound", series_file, "--n", "1e6", "--g", "2", "--out", out)
+    assert proc.returncode == 0
+    # run statistics go to the manifest; stdout stays byte-identical
+    assert proc.stdout == plain.stdout
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    assert 1 <= stats["sizes_evaluated"] <= 2 + math.ceil(
+        math.log2(scan_limit(10**6, 2))
+    )
+    assert stats["wall_s"] > 0
+
+
+def test_bound_n_beyond_exact_sizes_exits_2(series_file):
+    proc = run_cli("bound", series_file, "--n", "1e15", "--g", "2")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["max_size"] > 0
+    proc = run_cli("bound", series_file, "--n", "1e32", "--g", "2")
+    assert proc.returncode == 2 and "2**53" in proc.stderr
+    # counts that are not finite numbers are input errors too
+    for text in ("1e400", "nan"):
+        assert run_cli("bound", series_file, "--n", text, "--g", "2").returncode == 2
 
 
 def test_yu_command_limit():

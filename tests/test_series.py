@@ -28,11 +28,13 @@ from b2gbounds import (
     summarize,
 )
 from b2gbounds.series import (
+    D2SINC_BIG,
     D2SINC_CUT,
     DSINC_CUT,
     coefficient_decay_bound,
     d2sinc,
     dsinc,
+    kernel_dds,
     kernel_ds,
     kernel_s,
     parseval_tail_bound,
@@ -92,6 +94,13 @@ def test_kernels_do_not_overflow_at_huge_arguments():
     values = [kernel_s(theta), kernel_ds(theta)]
     values += list(fourier_coefficients(CosineSeries([(1.0, theta)]), 2))
     assert all(math.isfinite(v) for v in values)
+    # x^3 overflows past 5.6e102 and x^2 past 1.3e154; on both sides of
+    # D2SINC_BIG, sinc''(x) = -sin(x)/x to far below double precision
+    for x in (5.7e102, 1.4e154, 1e160, 1.7e308, 0.999 * D2SINC_BIG, D2SINC_BIG):
+        for v in (x, -x):
+            leading = -math.sin(v) / v
+            assert d2sinc(v) == pytest.approx(leading, rel=1e-14, abs=0.0), v
+    assert all(math.isfinite(kernel_dds(x)) for x in (5.7e102, 1.4e154, 1e160))
 
 
 # -- construction and evaluation -------------------------------------------
