@@ -13,9 +13,9 @@ arithmetic stay in the library, and b2g <cmd> --help shows every default.
 Numeric output is JSON with 17-significant-digit decimals, so repeated runs
 with identical flags are byte-identical.  With --out, _emit also writes the
 result there plus a run manifest (command, the inputs actually used,
-outputs, tool version, timestamp, tolerances and, for optimize, search and
-bound, run statistics); the timestamp and the statistics' wall time are the
-only fields excluded from reproducibility guarantees.
+outputs, tool version, timestamp, tolerances and, for optimize, search,
+bound and yu, run statistics); the timestamp and the statistics' wall time
+are the only fields excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted, 5 verification failure.
@@ -282,8 +282,16 @@ def cmd_bound(args) -> int:
 def cmd_yu(args) -> int:
     truncation = LIMIT if args.limit else _parse_count(args.m, "--m")
     params = YuParams(lam=args.lam, truncation=truncation)
-    result = yu_evaluate(params, args.tol)
-    _emit(args, jsonutil.dumps(result.to_obj()), tolerances={"tol": args.tol})
+    stats = {}
+    start = time.perf_counter()
+    result = yu_evaluate(params, args.tol, stats=stats)
+    stats["wall_s"] = time.perf_counter() - start
+    _emit(
+        args,
+        jsonutil.dumps(result.to_obj()),
+        tolerances={"tol": args.tol},
+        stats=stats,
+    )
     return EXIT_OK
 
 

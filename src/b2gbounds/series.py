@@ -26,8 +26,8 @@ CosineSeries stores the coefficients b and frequencies theta as two float
 arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
 together; ratio_rho and asymptotic_constant read theirs from it, so its
 guards (the zero series, I2 or A-upper outside the double range) cover all
-three.  FunctionalSummary.constant is the one place that forms c and tests
-I1 < 0.
+three.  constant_from is the one place that forms c and tests I1 < 0; the
+summary's constant and the yu family's closed forms both call it.
 
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
@@ -215,13 +215,18 @@ class FunctionalSummary:
 
     @property
     def constant(self) -> float | None:
-        """c = 2 (1 - rho) when I1 < 0, the hypothesis of the asymptotic
-        bound; None otherwise.  Not part of to_obj."""
-        return 2.0 * (1.0 - self.rho) if self.i1 < 0 else None
+        """constant_from(i1, i2).  Not part of to_obj."""
+        return constant_from(self.i1, self.i2)
 
     def to_obj(self) -> dict:
         """{i1, i2, rho, w0, a_upper}, the summary as the CLI writes it."""
         return asdict(self)
+
+
+def constant_from(i1: float, i2: float) -> float | None:
+    """c = 2 (1 - I1^2 / I2) when I1 < 0, the hypothesis of the asymptotic
+    bound; None otherwise.  The one place the constant is formed."""
+    return 2.0 * (1.0 - i1 * i1 / i2) if i1 < 0 else None
 
 
 def eval_w(series: CosineSeries, t) -> float | np.ndarray:

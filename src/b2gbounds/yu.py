@@ -23,6 +23,14 @@ of M0 terms is evaluated in closed form through digamma/trigamma, leaving a
 remainder enclosed in (0, 1/(9 (M0+lambda)^3)] by the enveloping expansion
 1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3).  The reported constant
 is the midpoint of the resulting enclosure and error_bound certifies it.
+
+psi and psi' are evaluated here in numpy, for x > 0: the recurrences
+psi(x) = psi(x+1) - 1/x and psi'(x) = psi'(x+1) + 1/x^2 carry x to x >= 10,
+where the Stirling-type asymptotic series (Abramowitz & Stegun 6.3.18 and
+6.4.12) through B_16 is summed.  Both series envelop the true value, so the
+truncation error is below the first omitted term, |B_18|/(18 x^18) < 3.1e-18
+for psi and |B_18|/x^19 < 5.5e-18 for psi' at x >= 10: less than half an ulp
+of either value.
 """
 
 from __future__ import annotations
@@ -31,10 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from .errors import BracketError, ToleranceError, ValidationError
-from .series import CosineSeries
+from .series import CosineSeries, constant_from
 
 LIMIT = "limit"
 
@@ -50,6 +57,41 @@ _M0_START = 1000
 _M0_MAX = 2**23
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...: golden-section step
+
+# psi and psi' recur up to this argument before the asymptotic series is used
+_SERIES_FROM = 10.0
+# Bernoulli numbers B_2, B_4, ..., B_16 of the asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_DIGAMMA_COEFFS = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+
+
+def _recur(x, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x + k, sum_{i<k} (x + i)**-power), with k the steps that carry each
+    element of x > 0 to at least _SERIES_FROM (k = 0 where it already is)."""
+    x = np.array(x, dtype=float)
+    carry = np.zeros_like(x)
+    small = x < _SERIES_FROM
+    while small.any():
+        safe = np.where(small, x, 1.0)  # no division can warn
+        carry += np.where(small, 1.0 / safe**power, 0.0)
+        x = np.where(small, x + 1.0, x)
+        small = x < _SERIES_FROM
+    return x, carry
+
+
+def _digamma(x) -> np.ndarray:
+    """psi(x) for x > 0: ln x - 1/(2x) - sum_k B_2k / (2k x^2k) past the shift."""
+    x, carry = _recur(x, 1)
+    z = 1.0 / (x * x)
+    return np.log(x) - 0.5 / x - z * np.polyval(_DIGAMMA_COEFFS[::-1], z) - carry
+
+
+def _trigamma(x) -> np.ndarray:
+    """psi'(x) for x > 0: 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) past the shift."""
+    x, carry = _recur(x, 2)
+    t = 1.0 / x
+    z = t * t
+    return t + 0.5 * z + t * z * np.polyval(_BERNOULLI[::-1], z) + carry
 
 
 @dataclass(frozen=True)
@@ -141,14 +183,14 @@ def _limit_enclosure(lam: float, m0: int) -> tuple[float, float]:
     The constant 2(1 - I1^2/I2) is increasing in I2, so the enclosure of T
     maps directly onto an enclosure of the constant.
     """
-    psi1 = float(polygamma(1, lam))
+    psi1 = float(_trigamma(lam))
     i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * psi1
 
     j = np.arange(m0 + 1, dtype=float)
-    head = 2.0 * float(np.sum(polygamma(1, j + 2.0 * lam) / (j + lam)))
-    dpsi = float(digamma(m0 + 1 + 2.0 * lam) - digamma(m0 + 1 + lam))
+    head = 2.0 * float(np.sum(_trigamma(j + 2.0 * lam) / (j + lam)))
+    dpsi = float(_digamma(m0 + 1 + 2.0 * lam) - _digamma(m0 + 1 + lam))
     t1 = 2.0 / lam * dpsi
-    t2 = dpsi / lam**2 - float(polygamma(1, m0 + 1 + 2.0 * lam)) / lam
+    t2 = dpsi / lam**2 - float(_trigamma(m0 + 1 + 2.0 * lam)) / lam
     t_lo = head + t1 + t2
     t_hi = t_lo + 1.0 / (9.0 * (m0 + lam) ** 3)
 
@@ -156,17 +198,21 @@ def _limit_enclosure(lam: float, m0: int) -> tuple[float, float]:
     i2_a = 0.5 * psi1 + scale * t_lo
     i2_b = 0.5 * psi1 + scale * t_hi
     i2_lo, i2_hi = min(i2_a, i2_b), max(i2_a, i2_b)
-    c_lo = 2.0 * (1.0 - i1 * i1 / i2_lo)
-    c_hi = 2.0 * (1.0 - i1 * i1 / i2_hi)
+    c_lo = constant_from(i1, i2_lo)
+    c_hi = constant_from(i1, i2_hi)
     return 0.5 * (c_lo + c_hi), 0.5 * (c_hi - c_lo)
 
 
-def yu_evaluate(params: YuParams, tol: float = TOL) -> YuResult:
+def yu_evaluate(
+    params: YuParams, tol: float = TOL, stats: dict | None = None
+) -> YuResult:
     """Asymptotic constant of the family with a certified error bound.
 
     Finite truncations are closed-form exact up to rounding; the limit is
     certified to < tol by growing the head length m0, then validated by a
-    doubled-m0 re-evaluation whose result is the one reported.
+    doubled-m0 re-evaluation whose result is the one reported.  For the
+    limit, if stats is a dict, its "m0" and "half_width" entries receive the
+    head length and half-width of the reported enclosure.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
@@ -177,7 +223,7 @@ def yu_evaluate(params: YuParams, tol: float = TOL) -> YuResult:
                 achieved=ROUND_SLACK,
             )
         i1, i2 = yu_functionals(params.lam, params.truncation)
-        constant = 2.0 * (1.0 - i1 * i1 / i2)
+        constant = constant_from(i1, i2)
         return YuResult(params.lam, params.truncation, constant, ROUND_SLACK)
 
     m0 = _M0_START
@@ -197,6 +243,9 @@ def yu_evaluate(params: YuParams, tol: float = TOL) -> YuResult:
             f"doubling validation left error {error:g} > tol {tol:g}",
             achieved=error,
         )
+    if stats is not None:
+        stats["m0"] = 2 * m0
+        stats["half_width"] = half_double
     return YuResult(params.lam, LIMIT, c_double, error)
 
 

@@ -50,6 +50,21 @@ def test_version_flag():
     assert proc.stdout == run_cli("--version").stdout
 
 
+def test_cli_import_leaves_out_scipy():
+    # scipy is a test dependency only; importing it (and the numpy.testing
+    # and numpy.f2py it pulls in) would cost every b2g process ~0.3 s
+    code = (
+        "import sys, b2gbounds.cli; print(sorted(m for m in sys.modules if "
+        "m.partition('.')[0] == 'scipy' "
+        "or m.startswith(('numpy.testing', 'numpy.f2py'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_analyze_reports_constant(series_file):
     proc = run_cli("analyze", series_file)
     assert proc.returncode == 0
@@ -160,6 +175,22 @@ def test_yu_command_limit():
     assert obj["truncation"] == "limit"
     assert obj["constant"] == pytest.approx(1.7424537, abs=1e-6)
     assert obj["error_bound"] <= 1e-6
+
+
+def test_yu_manifest_stats(tmp_path):
+    out = str(tmp_path / "yu.json")
+    # at lambda = 3/4 the tail term vanishes and with it the half-width
+    argv = ("yu", "--lambda", "0.62", "--limit", "--tol", "1e-9")
+    plain = run_cli(*argv)
+    proc = run_cli(*argv, "--out", out)
+    assert proc.returncode == 0
+    # run statistics go to the manifest; stdout stays byte-identical
+    assert proc.stdout == plain.stdout
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    assert stats["m0"] >= 1000
+    assert 0 < stats["half_width"] <= json.loads(proc.stdout)["error_bound"]
+    assert stats["wall_s"] > 0
 
 
 def test_yu_command_finite_and_flag_exclusion():
@@ -329,6 +360,7 @@ def test_manifest_records_effective_settings(tmp_path):
 
     yu = manifest("yu", "--lambda", "0.75", "--m", "10")
     assert yu["inputs"]["tol"] == yu["tolerances"]["tol"] == TOL
+    assert set(yu["stats"]) == {"wall_s"}  # no enclosure at finite M
     opt = manifest("optimize", "--m", "2")
     assert opt["inputs"]["max_iter"] == MAX_ITER
     assert opt["inputs"]["grad_tol"] == opt["tolerances"]["grad_tol"] == GRAD_TOL

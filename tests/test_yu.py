@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from b2gbounds import (
@@ -17,7 +18,7 @@ from b2gbounds import (
     yu_evaluate,
     yu_series,
 )
-from b2gbounds.yu import ROUND_SLACK, yu_functionals
+from b2gbounds.yu import ROUND_SLACK, _digamma, _trigamma, yu_functionals
 
 
 def test_yu_series_terms():
@@ -37,6 +38,30 @@ def test_params_validation():
         YuParams(0.75, -1)
     with pytest.raises(ValidationError):
         YuParams(0.75, "forever")
+
+
+def test_digamma_and_trigamma_match_mpmath():
+    # the grid crosses the recurrence-to-series switch at x = 10
+    x = np.concatenate(
+        [
+            np.arange(2, 97) / 8.0,  # 0.25 ... 12
+            [9.999, 10.0, 10.001],
+            10.0 ** np.arange(3, 13),
+        ]
+    )
+    psi, psi1 = _digamma(x), _trigamma(x)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.psi(0, v)) for v in x])
+        ref1 = np.array([float(mpmath.psi(1, v)) for v in x])
+    assert np.all(np.abs(psi1 - ref1) <= 4 * np.spacing(ref1))
+    assert np.all(np.abs(psi - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+    # a scalar argument gives the element of the array evaluation
+    assert float(_trigamma(0.875)) == psi1[x == 0.875][0]
+    # one recurrence step across the switch: 9.5 is shifted, 10.5 is not
+    assert float(_digamma(10.5) - _digamma(9.5)) == pytest.approx(1 / 9.5, rel=1e-14)
+    assert float(_trigamma(9.5) - _trigamma(10.5)) == pytest.approx(
+        1 / 9.5**2, rel=1e-13
+    )
 
 
 def test_linear_time_functionals_match_generic(rng):
