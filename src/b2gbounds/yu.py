@@ -45,9 +45,13 @@ from .series import CosineSeries, constant_from
 
 LIMIT = "limit"
 
-# Rounding-noise envelope added on top of analytic error enclosures.  The
-# head sums run over <= 2^23 doubles with pairwise summation, which keeps
-# accumulated rounding far below this.
+# Rounding-noise envelope: added on top of the analytic enclosure of the
+# limit, and the whole error_bound of a finite truncation.  In the limit the
+# head sum runs over <= 2^24 + 1 doubles with np.sum's pairwise summation.  A
+# finite truncation's sums are BLAS dot products over m + 1 terms and one
+# sequential running sum over 2m + 1 terms, whose rounding grows with m and
+# is not pairwise; the value is asserted, not derived (tests compare it with
+# a long-double evaluation at m = 10^6).
 ROUND_SLACK = 1e-13
 # Default certified tolerance of yu_evaluate and yu_constant, also the
 # default of b2g yu --tol.
@@ -55,6 +59,8 @@ TOL = 1e-9
 
 _M0_START = 1000
 _M0_MAX = 2**23
+# block length of the prefix sums in yu_functionals
+_BLOCK = 2**16
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...: golden-section step
 
@@ -153,20 +159,36 @@ def yu_functionals(lam: float, m: int) -> tuple[float, float]:
     """(I1, I2) for truncation order m, in O(m) time.
 
     Matches the generic series evaluation to full precision and is the only
-    practical route at m ~ 10^6.
+    practical route at m ~ 10^6.  Memory is two arrays of m + 1 doubles (the
+    weights 1/(j + lambda) and the inner sums) plus one block of _BLOCK
+    doubles: the prefix sums P run left to right a block at a time.
     """
     if not (0.5 < lam < 1.0):
         raise ValidationError(f"lambda must lie in (1/2, 1), got {lam!r}")
     if m < 0:
         raise ValidationError(f"truncation must be >= 0, got {m}")
-    idx = np.arange(m + 1, dtype=float)
-    inv = 1.0 / (idx + lam)
+    inv = 1.0 / (np.arange(m + 1, dtype=float) + lam)
     sum_inv2 = float(inv @ inv)
     i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * sum_inv2
 
-    q = 1.0 / (np.arange(2 * m + 1, dtype=float) + 2.0 * lam) ** 2
-    prefix = np.concatenate([[0.0], np.cumsum(q)])  # prefix[j] = sum_{i<j} q_i
-    inner = prefix[m + 1 :] - prefix[: m + 1]
+    # inner[j] = P(j + m + 1) - P(j) with P(k) = sum_{i<k} 1/(i + 2 lambda)^2.
+    # Block entry b holds P(start + b + 1): P(1..m) is stored into inner[1:],
+    # and P(m+1..2m+1) is then subtracted in place from it.
+    inner = np.zeros(m + 1)
+    running = 0.0
+    for start in range(0, 2 * m + 1, _BLOCK):
+        stop = min(start + _BLOCK, 2 * m + 1)
+        block = 1.0 / (np.arange(start, stop, dtype=float) + 2.0 * lam) ** 2
+        block[0] += running  # the same additions as one cumsum over all terms
+        np.cumsum(block, out=block)
+        running = block[-1]
+        if start < m:
+            end = min(stop, m)
+            inner[start + 1 : end + 1] = block[: end - start]
+        if stop > m:
+            begin = max(start, m)
+            part = inner[begin - m : stop - m]
+            np.subtract(block[begin - start :], part, out=part)
     t_sum = 2.0 * float(inv @ inner)
     i2 = 0.5 * sum_inv2 + math.sin(4.0 * math.pi * lam) / (4.0 * math.pi) * t_sum
     return i1, i2

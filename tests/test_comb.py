@@ -1,5 +1,6 @@
 """Combinatorial side: counts, spectral identities, exact search."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from b2gbounds import (
 )
 
 from b2gbounds.checks import difference_identity, random_pairs
+from b2gbounds.combinatorics import ScanReport
 
 from conftest import make_series
 
@@ -216,6 +218,24 @@ def test_inequality_scan_small():
     assert report.checked == expected
     with pytest.raises(ValidationError):
         sdft_inequality_scan(1, 0)  # would check no set at all
+
+
+def test_inequality_scan_frozen_reports():
+    # the reports of the verify suite's scans, frozen from the per-set
+    # indicator construction with 50000-set batches
+    assert sdft_inequality_scan(1, 14) == ScanReport(4355, 0, 1.0)
+    assert sdft_inequality_scan(2, 14) == ScanReport(26565, 0, 2.285714285714285)
+
+
+def test_inequality_scan_memory_is_one_batch():
+    # 50000-set batches peaked at about 9.3 MB
+    tracemalloc.start()
+    try:
+        sdft_inequality_scan(2, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 subset_strategy = st.lists(
