@@ -28,7 +28,6 @@ from .combinatorics import (
     enumerate_b2g,
     exhaustive_f,
     f_table,
-    greedy_lower,
     is_b2g,
     s_comb,
     s_dft,
@@ -47,25 +46,21 @@ from .errors import (
 from .family import (
     FamilyParams,
     OptimizeResult,
-    gradient,
     initial_params,
-    objective,
     optimize,
     to_series,
 )
 from .series import (
     CosineSeries,
     FunctionalSummary,
-    asymptotic_constant,
     curvature_bound,
     eval_w,
     fourier_coefficients,
     integral_i1,
     integral_i2,
-    ratio_rho,
     summarize,
 )
-from .yu import LIMIT, YuParams, YuResult, lambda_refine, yu_constant, yu_evaluate, yu_series
+from .yu import LIMIT, YuParams, YuResult, lambda_refine, yu_evaluate, yu_series
 
 __all__ = [
     "__version__",
@@ -86,7 +81,6 @@ __all__ = [
     "ValidationError",
     "YuParams",
     "YuResult",
-    "asymptotic_constant",
     "curvature_bound",
     "d_identity_residual",
     "diff_profile",
@@ -96,24 +90,19 @@ __all__ = [
     "f_table",
     "finite_majorant",
     "fourier_coefficients",
-    "gradient",
-    "greedy_lower",
     "initial_params",
     "integral_i1",
     "integral_i2",
     "is_b2g",
     "lambda_refine",
     "max_size_bound",
-    "objective",
     "optimize",
-    "ratio_rho",
     "reference_min",
     "s_comb",
     "s_dft",
     "sdft_inequality_scan",
     "summarize",
     "to_series",
-    "yu_constant",
     "yu_evaluate",
     "yu_series",
 ]

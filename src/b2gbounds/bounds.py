@@ -29,7 +29,7 @@ sqrt(2 (1 - I1^2/I2)) whenever I1 < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
 from .series import CosineSeries, FunctionalSummary, summarize
@@ -61,14 +61,7 @@ class BoundReport:
     summary: FunctionalSummary
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "g": self.g,
-            "max_size": self.max_size,
-            "coefficient": self.coefficient,
-            "reference_min": self.reference_min,
-            "summary": self.summary.to_obj(),
-        }
+        return asdict(self)
 
 
 def _check_np(n: int, g: int) -> None:

@@ -37,7 +37,6 @@ from . import __version__, checks, jsonutil
 from .bounds import max_size_bound
 from .combinatorics import exhaustive_f, f_table
 from .errors import (
-    BracketError,
     BudgetError,
     DomainError,
     HypothesisError,
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    except (ToleranceError, BracketError) as exc:
+    except ToleranceError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -262,18 +262,6 @@ def exhaustive_f(
     return size, IntSet(elems=elems, n=n)
 
 
-def greedy_lower(g: int, n: int) -> IntSet:
-    """Greedy B2[g] witness scanning 0..n; a cheap lower bound for F(g, n)."""
-    if g < 1:
-        raise ValidationError(f"g must be >= 1, got {g}")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    state = _SumCounts(g, [0] * (2 * n + 1))
-    for x in range(n + 1):
-        state.push(x)
-    return IntSet(elems=tuple(state.elems), n=n)
-
-
 def f_table(
     g_values, n_max: int, budget: int | None = None, stats: dict | None = None
 ):

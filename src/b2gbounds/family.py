@@ -34,7 +34,6 @@ projected-gradient infinity norm, and the result names why the run stopped.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -254,26 +253,6 @@ def rho_grad_hess(x: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]
     d = _chain_divisor(m)
     hess = np.delete(np.delete(hess, m + 1, axis=0), m + 1, axis=1)
     return f.rho, np.delete(f.grad, m + 1) / d, hess / d[:, None] / d[None, :]
-
-
-def objective(params: FamilyParams) -> float:
-    """rho at params; warns (does not fail) when I1 >= 0 there, so an
-    optimizer path may traverse sign changes while the caller still learns
-    the asymptotic-constant hypothesis is violated at this point."""
-    f = _first_order(_pack(params), params.m)
-    if f.i1 >= 0:
-        warnings.warn(
-            "I1 >= 0 at these parameters; the asymptotic constant hypothesis "
-            "fails here",
-            stacklevel=2,
-        )
-    return f.rho
-
-
-def gradient(params: FamilyParams) -> np.ndarray:
-    """Analytic gradient of rho, ordered [d/dy_0..d/dy_M, d/dc_1..d/dc_M]."""
-    _, grad = rho_and_grad(_pack(params), params.m)
-    return grad
 
 
 def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:

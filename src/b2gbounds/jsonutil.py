@@ -170,7 +170,11 @@ def params_from_obj(obj) -> "FamilyParams":
             f"params JSON inconsistent: M={m} needs len(y)={m + 1}, len(c)={m}, "
             f"got {len(y)} and {len(c)}"
         )
-    return FamilyParams(y=[float(v) for v in y], c=[float(v) for v in c])
+    try:
+        y, c = [float(v) for v in y], [float(v) for v in c]
+    except (TypeError, ValueError) as exc:
+        raise InputError("params JSON has non-numeric y or c entries") from exc
+    return FamilyParams(y=y, c=c)
 
 
 def load_params(path: str):

@@ -24,10 +24,9 @@ asymptotic constant c = 2(1 - rho) bounds B2[g] set sizes:
 
 CosineSeries stores the coefficients b and frequencies theta as two float
 arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
-together; ratio_rho and asymptotic_constant read theirs from it, so its
-guards (the zero series, I2 or A-upper outside the double range) cover all
-three.  constant_from is the one place that forms c and tests I1 < 0; the
-summary's constant and the yu family's closed forms both call it.
+together and holds their guards (the zero series, I2 or A-upper outside the
+double range).  constant_from is the one place that forms c and tests
+I1 < 0; the summary's constant and the yu family's closed forms both call it.
 
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
@@ -40,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ValidationError
+from .errors import DomainError, ValidationError
 
 # Taylor switch-over for the sinc kernels.  Below SINC_CUT the direct formula
 # sin(x)/x is replaced by a 4-term Taylor polynomial (degree 6), exact to
@@ -123,17 +122,21 @@ def d2sinc(x):
 
 
 def kernel_s(x):
-    """S(x) = sinc(2 pi x), so S(0) = 1."""
+    """S(x) = sinc(2 pi x), so S(0) = 1.
+
+    Domain |x| < 2.8e307, as for kernel_ds and kernel_dds: past about
+    2.86e307 the product 2 pi x overflows to inf and the value is NaN.
+    """
     return sinc(2.0 * math.pi * np.asarray(x, dtype=float))
 
 
 def kernel_ds(x):
-    """S'(x) = 2 pi * sinc'(2 pi x)."""
+    """S'(x) = 2 pi * sinc'(2 pi x); domain |x| < 2.8e307."""
     return 2.0 * math.pi * dsinc(2.0 * math.pi * np.asarray(x, dtype=float))
 
 
 def kernel_dds(x):
-    """S''(x) = (2 pi)^2 * sinc''(2 pi x)."""
+    """S''(x) = (2 pi)^2 * sinc''(2 pi x); domain |x| < 2.8e307."""
     two_pi = 2.0 * math.pi
     return two_pi * two_pi * d2sinc(two_pi * np.asarray(x, dtype=float))
 
@@ -173,13 +176,6 @@ class CosineSeries:
     def __len__(self):
         return len(self.coeffs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CosineSeries)
-            and np.array_equal(self.coeffs, other.coeffs)
-            and np.array_equal(self.freqs, other.freqs)
-        )
-
     def __repr__(self):
         inner = ", ".join(
             f"({b:g}, {f:g})" for b, f in zip(self.coeffs[:6], self.freqs[:6])
@@ -187,12 +183,6 @@ class CosineSeries:
         if len(self) > 6:
             inner += f", ... {len(self)} terms"
         return f"CosineSeries([{inner}])"
-
-    def scaled(self, factor: float) -> "CosineSeries":
-        """Series with every coefficient multiplied by factor > 0."""
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return CosineSeries(zip(self.coeffs * factor, self.freqs))
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -252,25 +242,6 @@ def integral_i2(series: CosineSeries) -> float:
     return float(0.5 * (b @ ((kernel_s(diff) + kernel_s(summ)) @ b)))
 
 
-def ratio_rho(series: CosineSeries) -> float:
-    """rho = I1^2 / I2, always in [0, 1] for a nonzero series."""
-    return summarize(series).rho
-
-
-def asymptotic_constant(series: CosineSeries) -> float:
-    """c = 2 (1 - rho); requires I1 < 0.
-
-    Under that hypothesis every B2[g] set A in [0, N] satisfies
-    |A| <~ sqrt(c (2g-1) N) as N grows.
-    """
-    summary = summarize(series)
-    if summary.constant is None:
-        raise HypothesisError(
-            f"asymptotic constant requires I1 < 0, got I1 = {summary.i1!r}"
-        )
-    return summary.constant
-
-
 def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
     """[a_0, a_1, ..., a_m_max], the cosine coefficients of the 2-periodic
     extension of w.
@@ -301,25 +272,26 @@ def summarize(series: CosineSeries) -> FunctionalSummary:
     """Bundle (I1, I2, rho, w(0), A-upper) for the bound evaluators.
 
     The one place I1 and I2 are combined into rho, so it holds the guards:
-    the zero series has no rho, an I2 that is not a positive finite double
-    (coefficients small enough to underflow it or large enough to overflow
-    it) would give a meaningless one, and an infinite A-upper (a frequency
-    too large to square) no finite-N bound.  All raise DomainError.
+    the zero series has no rho, a non-finite A-upper (a frequency too large
+    to square, or past the kernels' domain, where I2 is NaN too) no finite-N
+    bound, and an I2 that is not a positive finite double (coefficients too
+    small or too large for it) a meaningless rho.  All raise DomainError.
     """
     if series.is_zero():
         raise DomainError("rho is undefined for the identically zero series")
-    with np.errstate(over="ignore"):  # overflows are reported just below
+    # overflows, and the NaN they turn into, are reported just below
+    with np.errstate(over="ignore", invalid="ignore"):
         i1 = integral_i1(series)
         i2 = integral_i2(series)
         a_upper = curvature_bound(series)
+    if not math.isfinite(a_upper):
+        raise DomainError(
+            "A-upper overflows double precision; a frequency is too large"
+        )
     if not 0.0 < i2 < math.inf:
         raise DomainError(
             f"I2 = {i2!r} is not a positive finite double; the coefficients "
             "are too small or too large for double precision"
-        )
-    if not math.isfinite(a_upper):
-        raise DomainError(
-            "A-upper overflows double precision; a frequency is too large"
         )
     return FunctionalSummary(
         i1=i1,
@@ -352,10 +324,3 @@ def parseval_tail_bound(a_upper: float, m_star: int) -> float:
         raise ValidationError("tail bound applies to m_star >= 1")
     c = 2.0 * a_upper / (math.pi * math.pi)
     return c * c / (3.0 * m_star**3)
-
-
-def reconstruction_tail_bound(a_upper: float, m_star: int) -> float:
-    """Upper bound for sum_{m > m_star} |a_m|: at most (2 A / pi^2) / m_star."""
-    if m_star < 1:
-        raise ValidationError("tail bound applies to m_star >= 1")
-    return 2.0 * a_upper / (math.pi * math.pi * m_star)

@@ -53,8 +53,8 @@ LIMIT = "limit"
 # is not pairwise; the value is asserted, not derived (tests compare it with
 # a long-double evaluation at m = 10^6).
 ROUND_SLACK = 1e-13
-# Default certified tolerance of yu_evaluate and yu_constant, also the
-# default of b2g yu --tol.
+# Default certified tolerance of yu_evaluate, also the default of
+# b2g yu --tol.
 TOL = 1e-9
 
 _M0_START = 1000
@@ -147,7 +147,7 @@ def yu_series(params: YuParams) -> CosineSeries:
     """Materialize the truncated family as an explicit cosine series."""
     if params.is_limit:
         raise ValidationError(
-            "the limit has no finite series; evaluate via yu_constant"
+            "the limit has no finite series; evaluate via yu_evaluate"
         )
     lam = params.lam
     return CosineSeries(
@@ -271,11 +271,6 @@ def yu_evaluate(
     return YuResult(params.lam, LIMIT, c_double, error)
 
 
-def yu_constant(params: YuParams, tol: float = TOL) -> float:
-    """Convenience scalar wrapper over yu_evaluate."""
-    return yu_evaluate(params, tol).constant
-
-
 def lambda_refine(
     interval: tuple[float, float],
     tol_lambda: float = 1e-6,
@@ -303,7 +298,7 @@ def lambda_refine(
 
     def f(lam: float) -> float:
         if lam not in cache:
-            cache[lam] = yu_constant(YuParams(lam, LIMIT), inner_tol)
+            cache[lam] = yu_evaluate(YuParams(lam, LIMIT), inner_tol).constant
         return cache[lam]
 
     if a == b:

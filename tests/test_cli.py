@@ -9,15 +9,17 @@ import sys
 
 import pytest
 
-from b2gbounds import CosineSeries, asymptotic_constant, cli
+import b2gbounds
+from b2gbounds import CosineSeries, cli, summarize
 
 SERIES_SINGLE = '{"terms": [{"b": 1.0, "theta": 0.75}]}\n'
 SERIES_CONSTANT = '{"terms": [{"b": 1.0, "theta": 0.0}]}\n'
 # I2 underflows to 0 for the first and overflows to inf for the second;
-# A-upper overflows for the third
+# A-upper overflows for the third, and for the fourth 2 pi theta does too
 SERIES_TINY = '{"terms": [{"b": 1e-200, "theta": 0.75}]}\n'
 SERIES_HUGE = '{"terms": [{"b": 1e300, "theta": 0.75}, {"b": 1e300, "theta": 1.7}]}\n'
 SERIES_HIGH_FREQ = '{"terms": [{"b": 1.0, "theta": 1e160}]}\n'
+SERIES_HUGE_FREQ = '{"terms": [{"b": 1.0, "theta": 1e308}]}\n'
 
 
 def run_cli(*argv):
@@ -92,13 +94,20 @@ def test_benchmark_trace_targets_resolve():
     assert scan(1, 2).checked == 4 + 7  # B2[1] subsets of [0, 1] and [0, 2]
 
 
+def test_package_exports_resolve():
+    names = b2gbounds.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(b2gbounds, name, None) is not None, name
+
+
 def test_analyze_reports_constant(series_file):
     proc = run_cli("analyze", series_file)
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["i1_negative"] is True
     assert obj["constant"] == pytest.approx(1.8198734513025105, rel=1e-12)
-    assert obj["constant"] == asymptotic_constant(CosineSeries([(1.0, 0.75)]))
+    assert obj["constant"] == summarize(CosineSeries([(1.0, 0.75)])).constant
     assert obj["summary"]["i2"] == pytest.approx(0.5, rel=1e-12)
 
 
@@ -131,15 +140,23 @@ def test_analyze_hypothesis_gate_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", [SERIES_TINY, SERIES_HUGE, SERIES_HIGH_FREQ], ids=["tiny", "huge", "high-freq"]
+    "text, what",
+    [
+        (SERIES_TINY, "I2"),
+        (SERIES_HUGE, "I2"),
+        (SERIES_HIGH_FREQ, "A-upper"),
+        (SERIES_HUGE_FREQ, "A-upper"),
+    ],
+    ids=["tiny", "huge", "high-freq", "huge-freq"],
 )
-def test_summary_out_of_range_exits_3(tmp_path, text):
+def test_summary_out_of_range_exits_3(tmp_path, text, what):
     path = tmp_path / "series.json"
     path.write_text(text)
     for argv in (["analyze", str(path)], ["bound", str(path), "--n", "1000", "--g", "2"]):
         proc = run_cli(*argv)
         assert proc.returncode == 3
         assert "double precision" in proc.stderr and proc.stdout == ""
+        assert what in proc.stderr
 
 
 def test_analyze_emit_samples(series_file, tmp_path):
@@ -349,6 +366,15 @@ def test_optimize_init_from_params_file(tmp_path):
     assert proc.returncode == 0
     proc = run_cli("optimize", "--m", "3", "--init", out)
     assert proc.returncode == 2  # order mismatch is an input error
+
+
+@pytest.mark.parametrize("bad", ['"x"', "null"], ids=["string", "null"])
+def test_optimize_init_non_numeric_exits_2(tmp_path, bad):
+    path = tmp_path / "params.json"
+    path.write_text(f'{{"M": 1, "y": [{bad}, 1.0], "c": [0.5]}}\n')
+    proc = run_cli("optimize", "--m", "1", "--init", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "non-numeric" in proc.stderr
 
 
 @pytest.mark.parametrize(

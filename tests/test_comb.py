@@ -1,6 +1,7 @@
 """Combinatorial side: counts, spectral identities, exact search."""
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from b2gbounds import (
     BudgetError,
-    CosineSeries,
     IntSet,
     ValidationError,
     d_identity_residual,
@@ -17,7 +17,6 @@ from b2gbounds import (
     enumerate_b2g,
     exhaustive_f,
     f_table,
-    greedy_lower,
     is_b2g,
     s_comb,
     s_dft,
@@ -185,6 +184,18 @@ def test_budget_large_enough_is_silent():
     assert size == 4
     with pytest.raises(ValidationError):
         exhaustive_f(1, 8, budget=-1)
+
+
+def greedy_lower(g, n):
+    """Greedy B2[g] witness scanning 0..n: keep x unless some pairwise sum
+    would then have more than g representations.  A lower bound for F(g, n)."""
+    counts, elems = Counter(), []
+    for x in range(n + 1):
+        sums = [a + x for a in elems] + [2 * x]  # distinct, as every a < x
+        if all(counts[s] < g for s in sums):
+            counts.update(sums)
+            elems.append(x)
+    return IntSet(elems=tuple(elems), n=n)
 
 
 def test_greedy_is_valid_and_dominated():

@@ -10,9 +10,7 @@ from b2gbounds import (
     FamilyParams,
     InputError,
     ValidationError,
-    gradient,
     initial_params,
-    objective,
     optimize,
     to_series,
 )
@@ -25,7 +23,7 @@ from b2gbounds.family import (
     rho_and_grad,
     rho_grad_hess,
 )
-from b2gbounds.series import integral_i1, integral_i2, kernel_s, ratio_rho
+from b2gbounds.series import integral_i1, integral_i2, kernel_s, summarize
 
 
 def test_to_series_structure():
@@ -56,7 +54,8 @@ def test_objective_matches_series_rho(rng):
         m = int(rng.integers(0, 12))
         params = initial_params(m, "random", seed=int(rng.integers(1 << 30)))
         series = to_series(params)
-        assert objective(params) == pytest.approx(ratio_rho(series), rel=1e-12)
+        rho = rho_and_grad(_pack(params), m)[0]
+        assert rho == pytest.approx(summarize(series).rho, rel=1e-12)
 
 
 def test_gradient_matches_central_differences(rng):
@@ -66,13 +65,12 @@ def test_gradient_matches_central_differences(rng):
             params = initial_params(m, "random", seed=int(rng.integers(1 << 30)))
             x = _pack(params)
             _, grad = rho_and_grad(x, m)
-            grad = -grad  # rho_and_grad returns the minimization gradient
+            assert grad.shape == x.shape
             for i in range(len(x)):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
                 fd = (rho_and_grad(xp, m)[0] - rho_and_grad(xm, m)[0]) / (2 * h)
-                fd = -fd
                 scale = max(1.0, abs(grad[i]))
                 assert abs(grad[i] - fd) < 1e-5 * scale, (m, i)
 
@@ -153,20 +151,6 @@ def test_trust_region_step_hard_case():
     assert abs(p[0]) == pytest.approx(math.sqrt(4.0 - 1.0 / 9.0), rel=1e-12)
 
 
-def test_gradient_api_ordering():
-    params = FamilyParams(y=(1.0, 1.4), c=(0.6,))
-    grad = gradient(params)
-    assert grad.shape == (3,)
-    # bump y0 and c1 separately; signs must match the analytic entries
-    h = 1e-7
-    up = objective(FamilyParams(y=(1.0 + h, 1.4), c=(0.6,)))
-    down = objective(FamilyParams(y=(1.0 - h, 1.4), c=(0.6,)))
-    assert grad[0] == pytest.approx((up - down) / (2 * h), rel=1e-4, abs=1e-7)
-    up = objective(FamilyParams(y=(1.0, 1.4), c=(0.6 + h,)))
-    down = objective(FamilyParams(y=(1.0, 1.4), c=(0.6 - h,)))
-    assert grad[2] == pytest.approx((up - down) / (2 * h), rel=1e-4, abs=1e-7)
-
-
 def grid_oracle_m0(resolution=100000):
     """Closed-form rho for M = 0 maximized on a dense grid; fully vectorized."""
     y = np.linspace(1e-6, math.pi - 1e-6, resolution)
@@ -200,7 +184,7 @@ def test_reference_tables_are_inside_box_and_near_optimal():
     assert all(0 < c < 1 for c in REF_C)
     # prefix of the reference optimum is itself a good starting point
     params = initial_params(12, "paper")
-    assert objective(params) > 0.11
+    assert rho_and_grad(_pack(params), params.m)[0] > 0.11
 
 
 def test_optimize_deterministic_bits():

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from b2gbounds import (
-    BracketError,
     ToleranceError,
     ValidationError,
     YuParams,
     integral_i1,
     integral_i2,
     lambda_refine,
-    yu_constant,
     yu_evaluate,
     yu_series,
 )
@@ -153,9 +151,9 @@ def test_limit_at_three_quarters_is_catalan_expression():
 
 def test_truncated_constants_converge_to_limit():
     lam = 0.75315
-    limit = yu_constant(YuParams(lam, "limit"), tol=1e-12)
+    limit = yu_evaluate(YuParams(lam, "limit"), tol=1e-12).constant
     gaps = [
-        abs(yu_constant(YuParams(lam, 2**k), tol=1e-9) - limit)
+        abs(yu_evaluate(YuParams(lam, 2**k), tol=1e-9).constant - limit)
         for k in (10, 12, 14, 16, 18)
     ]
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
@@ -189,7 +187,7 @@ def test_i1_negative_across_lambda_range():
         i1, _ = yu_functionals(lam, 200)
         assert i1 < 0, lam
         # the limit constant is then well-defined
-        assert yu_constant(YuParams(lam, "limit"), tol=1e-8) > 1.0
+        assert yu_evaluate(YuParams(lam, "limit"), tol=1e-8).constant > 1.0
 
 
 def test_refine_degenerate_interval():
@@ -205,7 +203,7 @@ def test_refine_matches_dense_grid():
     steps = 200
     for i in range(steps + 1):
         lam = 0.74 + 0.02 * i / steps
-        value = yu_constant(YuParams(lam, "limit"), tol=1e-10)
+        value = yu_evaluate(YuParams(lam, "limit"), tol=1e-10).constant
         if value < grid_val:
             grid_best, grid_val = lam, value
     assert abs(lam_best - grid_best) < 1e-4
