@@ -17,8 +17,17 @@ and the Hessian are analytic:
     dI2/db_i     = ((S(D) + S(P)) b)_i
     drho = (2 I1 I2 dI1 - I1^2 dI2) / I2^2
 
-chained through theta_j = (y_j + (2j+1) pi)/(2 pi) and b_j = c_j / j; the
-second derivatives add S''(D) and S''(P) (see rho_grad_hess).
+and the Hessian blocks are
+
+    I1:  d2/dtheta_i^2 = b_i S''(theta_i),  d2/dtheta_i db_i = S'(theta_i)
+    I2:  d2/dtheta dtheta = diag(b (S''(D) + S''(P)) b)
+                            + b b^T * (S''(P) - S''(D))
+         d2/dtheta db     = diag((S'(D) + S'(P)) b) + diag(b) (S'(D) + S'(P))
+         d2/db db         = S(D) + S(P)
+
+(the elementwise b b^T * (S''(P) - S''(D)) term carries the diagonal
+b_i^2 S''(2 theta_i) - b_i^2 S''(0)), all chained through
+theta_j = (y_j + (2j+1) pi)/(2 pi) and b_j = c_j / j.
 
 Optimization is projected trust-region Newton on the closed box
 [eps, pi - eps] x [eps, 1 - eps] (eps = 1e-9): variables held at a face by
@@ -35,12 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .series import CosineSeries, kernel_dds, kernel_ds, kernel_s
+from .series import CosineSeries, kernel_jet
 
 BOX_EPS = 1e-9
 EPS = float(np.finfo(float).eps)
@@ -156,92 +164,49 @@ def _unpack(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return x[: m + 1], x[m + 1 :]
 
 
-class _FirstOrder(NamedTuple):
-    """I1, I2, rho and their gradients in the series coordinates (theta, b)."""
+def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
+    """rho and its derivatives up to order (1 or 2) wrt [y_0..y_M, c_1..c_M].
 
-    b: np.ndarray
-    th: np.ndarray
-    diff: np.ndarray  # D_jk = theta_j - theta_k
-    summ: np.ndarray  # P_jk = theta_j + theta_k
-    a_matrix: np.ndarray  # S(D) + S(P)
-    da_matrix: np.ndarray  # S'(D) + S'(P)
-    dab: np.ndarray  # (S'(D) + S'(P)) b
-    ds_th: np.ndarray  # S'(theta)
-    i1: float
-    i2: float
-    di1: np.ndarray  # [dI1/dtheta, dI1/db]
-    di2: np.ndarray  # [dI2/dtheta, dI2/db]
-    rho: float
-    grad: np.ndarray  # [drho/dtheta, drho/db], b_0 included
-
-
-def _first_order(x: np.ndarray, m: int) -> _FirstOrder:
+    One kernel_jet call each on theta, D and P supplies S, S' and S''; the
+    derivatives are formed in the series coordinates (theta, b), combined
+    by the quotient rule for rho = I1^2 / I2 and chained linearly into (y, c).
+    """
     y, c = _unpack(np.asarray(x, dtype=float), m)
     b, th = _series_arrays(y, c)
-    s_th = kernel_s(th)
-    ds_th = kernel_ds(th)
-    i1 = float(b @ s_th)
-    diff = th[:, None] - th[None, :]
-    summ = th[:, None] + th[None, :]
-    a_matrix = kernel_s(diff) + kernel_s(summ)
-    ab = a_matrix @ b
+    s_th = kernel_jet(th, order)
+    s_d = kernel_jet(th[:, None] - th[None, :], order)
+    s_p = kernel_jet(th[:, None] + th[None, :], order)
+    # only the sums and S''(P) - S''(D) stay alive beside the Hessian blocks
+    s_sum = [d + p for d, p in zip(s_d, s_p)]
+    sdd_gap = s_p[2] - s_d[2] if order == 2 else None
+    del s_d, s_p
+    i1 = float(b @ s_th[0])
+    ab = s_sum[0] @ b
     i2 = 0.5 * float(b @ ab)
-    da_matrix = kernel_ds(diff) + kernel_ds(summ)
-    dab = da_matrix @ b
-    di1 = np.concatenate([b * ds_th, s_th])
-    di2 = np.concatenate([b * dab, ab])
+    dab = s_sum[1] @ b
+    g1 = np.concatenate([b * s_th[1], s_th[0]])  # [dI1/dtheta, dI1/db]
+    g2 = np.concatenate([b * dab, ab])  # [dI2/dtheta, dI2/db]
     rho = i1 * i1 / i2
-    grad = (2.0 * i1 / i2) * di1 - (i1 * i1 / (i2 * i2)) * di2
-    return _FirstOrder(
-        b, th, diff, summ, a_matrix, da_matrix, dab, ds_th, i1, i2, di1, di2, rho, grad
-    )
-
-
-def _chain_divisor(m: int) -> np.ndarray:
-    """d(y, c)/d(theta, b_1..b_M): theta_j = (y_j + (2j+1) pi)/(2 pi), b_j = c_j/j."""
-    return np.concatenate([np.full(m + 1, 2.0 * math.pi), np.arange(1.0, m + 1)])
-
-
-def rho_and_grad(x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
-    """rho and its gradient wrt the packed vector [y_0..y_M, c_1..c_M]."""
-    f = _first_order(x, m)
+    # d(y, c)/d(theta, b_1..b_M): theta_j = (y_j + (2j+1) pi)/(2 pi), b_j = c_j/j
+    d = np.concatenate([np.full(m + 1, 2.0 * math.pi), np.arange(1.0, m + 1)])
     # b_0 = 1 is not a parameter: drop its entry
-    return f.rho, np.delete(f.grad, m + 1) / _chain_divisor(m)
+    grad = np.delete((2.0 * i1 / i2) * g1 - (i1 * i1 / (i2 * i2)) * g2, m + 1) / d
+    if order == 1:
+        return rho, grad
 
-
-def rho_grad_hess(x: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """rho, its gradient and its dense (2M+1)^2 Hessian wrt [y_0..y_M, c_1..c_M].
-
-    In the series coordinates (theta, b) the blocks are
-
-        I1:  d2/dtheta_i^2 = b_i S''(theta_i),  d2/dtheta_i db_i = S'(theta_i)
-        I2:  d2/dtheta dtheta = diag(b (S''(D) + S''(P)) b)
-                                + b b^T * (S''(P) - S''(D))
-             d2/dtheta db     = diag((S'(D) + S'(P)) b) + diag(b) (S'(D) + S'(P))
-             d2/db db         = S(D) + S(P)
-
-    (the elementwise b b^T * (S''(P) - S''(D)) term carries the diagonal
-    b_i^2 S''(2 theta_i) - b_i^2 S''(0)), combined by the quotient rule for
-    rho = I1^2 / I2 and chained linearly into (y, c).
-    """
-    f = _first_order(x, m)
-    b, n = f.b, m + 1
-    sdd_d = kernel_dds(f.diff)
-    sdd_p = kernel_dds(f.summ)
+    n = m + 1
     h1 = np.zeros((2 * n, 2 * n))
     idx = np.arange(n)
-    h1[idx, idx] = b * kernel_dds(f.th)
-    h1[idx, n + idx] = h1[n + idx, idx] = f.ds_th
+    h1[idx, idx] = b * s_th[2]
+    h1[idx, n + idx] = h1[n + idx, idx] = s_th[1]
     h2 = np.empty((2 * n, 2 * n))
-    h2[:n, :n] = np.outer(b, b) * (sdd_p - sdd_d)
-    h2[idx, idx] += b * ((sdd_d + sdd_p) @ b)
-    h2[:n, n:] = b[:, None] * f.da_matrix
-    h2[idx, n + idx] += f.dab
+    h2[:n, :n] = np.outer(b, b) * sdd_gap
+    h2[idx, idx] += b * (s_sum[2] @ b)
+    h2[:n, n:] = b[:, None] * s_sum[1]
+    h2[idx, n + idx] += dab
     h2[n:, :n] = h2[:n, n:].T
-    h2[n:, n:] = f.a_matrix
+    h2[n:, n:] = s_sum[0]
 
-    i1, i2 = f.i1, f.i2
-    g1, g2 = f.di1, f.di2
     cross = np.outer(g1, g2)
     hess = (
         (2.0 / i2) * np.outer(g1, g1)
@@ -250,9 +215,18 @@ def rho_grad_hess(x: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]
         + (2.0 * i1 / i2) * h1
         - (i1 * i1 / (i2 * i2)) * h2
     )
-    d = _chain_divisor(m)
     hess = np.delete(np.delete(hess, m + 1, axis=0), m + 1, axis=1)
-    return f.rho, np.delete(f.grad, m + 1) / d, hess / d[:, None] / d[None, :]
+    return rho, grad, hess / d[:, None] / d[None, :]
+
+
+def rho_and_grad(x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+    """rho and its gradient wrt the packed vector [y_0..y_M, c_1..c_M]."""
+    return _rho_derivatives(x, m, 1)
+
+
+def rho_grad_hess(x: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """rho, its gradient and its dense (2M+1)^2 Hessian wrt [y_0..y_M, c_1..c_M]."""
+    return _rho_derivatives(x, m, 2)
 
 
 def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:

@@ -101,8 +101,18 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _numbers(values, what: str) -> list:
+    """values as floats; InputError unless each is a JSON number, not a bool."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise InputError(f"{what} has non-numeric entries")
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise InputError(f"{what} has an integer beyond double range") from exc
 
 
 # -- series ------------------------------------------------------------
@@ -124,10 +134,7 @@ def series_from_obj(obj) -> "CosineSeries":
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "b" not in term or "theta" not in term:
             raise InputError(f'term {i} must be an object with "b" and "theta"')
-        try:
-            pairs.append((float(term["b"]), float(term["theta"])))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"term {i} has non-numeric fields") from exc
+        pairs.append(_numbers((term["b"], term["theta"]), f"term {i}"))
     return CosineSeries(pairs)
 
 
@@ -163,18 +170,14 @@ def params_from_obj(obj) -> "FamilyParams":
     m = obj["M"]
     y = obj["y"]
     c = obj["c"]
-    if not isinstance(m, int) or not isinstance(y, list) or not isinstance(c, list):
+    if type(m) is not int or not isinstance(y, list) or not isinstance(c, list):
         raise InputError('params JSON fields must be "M": int, "y": list, "c": list')
     if len(y) != m + 1 or len(c) != m:
         raise InputError(
             f"params JSON inconsistent: M={m} needs len(y)={m + 1}, len(c)={m}, "
             f"got {len(y)} and {len(c)}"
         )
-    try:
-        y, c = [float(v) for v in y], [float(v) for v in c]
-    except (TypeError, ValueError) as exc:
-        raise InputError("params JSON has non-numeric y or c entries") from exc
-    return FamilyParams(y=y, c=c)
+    return FamilyParams(y=_numbers(y, "params JSON y"), c=_numbers(c, "params JSON c"))
 
 
 def load_params(path: str):

@@ -9,7 +9,8 @@ functionals of w, all of which reduce to the kernel
 
     S(x) = sin(2*pi*x) / (2*pi*x),   S(0) = 1,
 
-via the product-to-sum identity for cosines:
+via the product-to-sum identity for cosines (kernel_jet gives S, S' and S''
+together from one sin and one cos, switching to a Taylor polynomial near 0):
 
     I1 = integral_0^1 w(t) dt          = sum_theta b_theta * S(theta)
     I2 = integral_0^1 w(t)^2 dt        = 1/2 * b^T (S(D) + S(P)) b
@@ -41,104 +42,84 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-# Taylor switch-over for the sinc kernels.  Below SINC_CUT the direct formula
-# sin(x)/x is replaced by a 4-term Taylor polynomial (degree 6), exact to
-# ~1e-28 at the cut, so the branch is seamless at full double precision.
-# The cut is in sinc's argument, so S(x) = sinc(2 pi x) switches at
-# |x| = SINC_CUT / (2 pi); for |x| < 1e-3 it agrees with the Taylor form
-# switched at |x| = SINC_CUT to 1.1e-16 absolute.
-SINC_CUT = 1e-4
-# The derivative kernels cancel near zero: cos(x)/x - sin(x)/x^2 is O(x) from
-# two O(1/x) terms (relative loss ~eps/x^2), and the second derivative
-# ((2 - x^2) sin(x) - 2x cos(x))/x^3 is O(1) from O(x) terms.  Below 0.2 both
-# switch to 6-term Taylor polynomials, whose truncation error there is below
-# 1e-18; on both sides of the cut each agrees with mpmath to 5e-14 (first
-# derivative) and 1e-13 (second derivative).
-DSINC_CUT = 0.2
-D2SINC_CUT = 0.2
-# x^3 overflows past |x| ~ 5.6e102, so from D2SINC_BIG on the second
-# derivative divides by x one factor at a time.
-D2SINC_BIG = 1e100
-# sinc'(x) = x * sum_n (-1)^n 2n/(2n+1)! x^(2n-2)
-# sinc''(x) =     sum_n (-1)^n 2n(2n-1)/(2n+1)! x^(2n-2),  n = 1..6
-_DSINC_TAYLOR = tuple(
-    (-1) ** n * 2 * n / math.factorial(2 * n + 1) for n in range(1, 7)
-)
-_D2SINC_TAYLOR = tuple(
-    (-1) ** n * 2 * n * (2 * n - 1) / math.factorial(2 * n + 1) for n in range(1, 7)
-)
-
-
-def _even_poly(u2, coeffs):
-    """sum_k coeffs[k] * u2**k by Horner's rule."""
-    out = np.full_like(u2, coeffs[-1])
-    for a in coeffs[-2::-1]:
-        out = out * u2 + a
-    return out
-
-
-def sinc(x):
-    """sin(x)/x with sinc(0) = 1; accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < SINC_CUT
-    safe = np.where(small, 1.0, x)
-    out = np.sin(safe) / safe
-    # the polynomial sees 0 where the direct branch is taken, so a huge x
-    # cannot overflow x * x there
-    small_x = np.where(small, x, 0.0)
-    u2 = small_x * small_x
-    taylor = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    return np.where(small, taylor, out)
-
-
-def dsinc(x):
-    """d/dx [sin(x)/x]; accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < DSINC_CUT
-    safe = np.where(small, 1.0, x)
-    out = (np.cos(safe) - np.sin(safe) / safe) / safe
-    small_x = np.where(small, x, 0.0)
-    taylor = small_x * _even_poly(small_x * small_x, _DSINC_TAYLOR)
-    return np.where(small, taylor, out)
-
-
-def d2sinc(x):
-    """d^2/dx^2 [sin(x)/x]; accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < D2SINC_CUT
-    big = np.abs(x) >= D2SINC_BIG
-    safe = np.where(small | big, 1.0, x)
-    out = ((2.0 - safe * safe) * np.sin(safe) - 2.0 * safe * np.cos(safe)) / (
-        safe * safe * safe
+# S and its derivatives come from one jet of sinc(x) = sin(x)/x:
+#     sinc^(k)(x) = sum_n (-1)^n (2n)! / ((2n+1)! (2n-k)!) x^(2n-k).
+# Below a cut per order the direct formula cancels (sinc' is O(x) from two
+# O(1/x) terms, sinc'' O(1) from O(x) terms) and this series is used; its
+# numerators are exact integers, so each coefficient is rounded once.  sinc
+# switches at 1e-4 with n <= 3 (exact to ~1e-28 there), sinc' and sinc'' at
+# 0.2 with n <= 6 (truncation below 1e-18; both agree with mpmath to 5e-14
+# and 1e-13 on either side of the cut).
+_TAYLOR_CUTS = (1e-4, 0.2, 0.2)
+_TAYLOR = tuple(
+    tuple(
+        (-1) ** n * (math.factorial(2 * n) // math.factorial(2 * n - k))
+        / math.factorial(2 * n + 1)
+        for n in range((k + 1) // 2, last + 1)
     )
-    if big.any():
-        # the same quotient with x^3 divided out term by term, so no
-        # intermediate exceeds |x|
-        y = np.where(big, x, 1.0)
-        far = ((2.0 / y - y) * np.sin(y) - 2.0 * np.cos(y)) / y / y
-        out = np.where(big, far, out)
-    small_x = np.where(small, x, 0.0)
-    return np.where(small, _even_poly(small_x * small_x, _D2SINC_TAYLOR), out)
+    for k, last in enumerate((3, 6, 6))
+)
+_TWO_PI = 2.0 * math.pi
+
+
+def sinc_jet(x, order: int) -> list:
+    """[sinc, sinc', sinc''][:order + 1] at x, sinc(x) = sin(x)/x, sinc(0) = 1.
+
+    x may be a scalar or an array.  One sin and (for order >= 1) one cos
+    per call feed every direct branch.  The Taylor polynomials see 0 beyond
+    the widest cut, so a huge x cannot overflow x * x.
+    """
+    x = np.asarray(x, dtype=float)
+    taylor = [np.abs(x) < cut for cut in _TAYLOR_CUTS[: order + 1]]
+    safe = np.where(taylor[0], 1.0, x)
+    s = np.sin(safe)
+    jet = [s / safe]
+    if order >= 1:
+        c = np.cos(safe)
+        jet.append((c - jet[0]) / safe)
+    if order >= 2:
+        # x^3 overflows past |x| ~ 5.6e102, so from 1e100 on the quotient is
+        # divided by x one factor at a time, no intermediate exceeding |x|
+        far = np.abs(x) >= 1e100
+        t = np.where(far, 1.0, safe)
+        jet.append(((2.0 - t * t) * s - 2.0 * t * c) / (t * t * t))
+        if far.any():
+            stepwise = ((2.0 / safe - safe) * s - 2.0 * c) / safe / safe
+            jet[2] = np.where(far, stepwise, jet[2])
+    # the cuts grow with k, so the last mask is the widest
+    near = np.where(taylor[-1], x, 0.0)
+    u2 = near * near
+    for k in range(order + 1):
+        poly = np.full_like(u2, _TAYLOR[k][-1])
+        for a in _TAYLOR[k][-2::-1]:
+            poly *= u2
+            poly += a
+        if k % 2:
+            poly *= near
+        jet[k] = np.where(taylor[k], poly, jet[k])
+    return jet
+
+
+def kernel_jet(x, order: int) -> list:
+    """[S, S', S''][:order + 1] at x, S^(k)(x) = (2 pi)^k sinc^(k)(2 pi x).
+
+    Domain |x| < 2.8e307: past about 2.86e307 the product 2 pi x overflows
+    to inf and the values are NaN.
+    """
+    jet = sinc_jet(_TWO_PI * np.asarray(x, dtype=float), order)
+    for k in range(1, order + 1):
+        jet[k] *= _TWO_PI**k
+    return jet
 
 
 def kernel_s(x):
-    """S(x) = sinc(2 pi x), so S(0) = 1.
-
-    Domain |x| < 2.8e307, as for kernel_ds and kernel_dds: past about
-    2.86e307 the product 2 pi x overflows to inf and the value is NaN.
-    """
-    return sinc(2.0 * math.pi * np.asarray(x, dtype=float))
+    """S(x) = sinc(2 pi x), so S(0) = 1; kernel_jet(x, 0)[0]."""
+    return kernel_jet(x, 0)[0]
 
 
 def kernel_ds(x):
-    """S'(x) = 2 pi * sinc'(2 pi x); domain |x| < 2.8e307."""
-    return 2.0 * math.pi * dsinc(2.0 * math.pi * np.asarray(x, dtype=float))
-
-
-def kernel_dds(x):
-    """S''(x) = (2 pi)^2 * sinc''(2 pi x); domain |x| < 2.8e307."""
-    two_pi = 2.0 * math.pi
-    return two_pi * two_pi * d2sinc(two_pi * np.asarray(x, dtype=float))
+    """S'(x) = 2 pi sinc'(2 pi x); kernel_jet(x, 1)[1]."""
+    return kernel_jet(x, 1)[1]
 
 
 class CosineSeries:
@@ -252,7 +233,8 @@ def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
     m = np.arange(m_max + 1, dtype=float)
     th = series.freqs[:, None]
     b = series.coeffs
-    return b @ (sinc(math.pi * (2.0 * th - m)) + sinc(math.pi * (2.0 * th + m)))
+    # S(theta -+ m/2) is sinc(pi (2 theta -+ m)) bit for bit (x2 is exact)
+    return b @ (kernel_s(th - 0.5 * m) + kernel_s(th + 0.5 * m))
 
 
 def curvature_bound(series: CosineSeries) -> float:

@@ -378,6 +378,31 @@ def test_optimize_init_non_numeric_exits_2(tmp_path, bad):
 
 
 @pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["analyze"], '{"terms": [{"b": true, "theta": 0.75}]}'),
+        (["analyze"], '{"terms": [{"b": 1.0, "theta": "0.75"}]}'),
+        (["analyze"], '{"terms": [{"b": 1%s, "theta": 0.75}]}' % ("0" * 400)),
+        (["optimize", "--m", "1", "--init"], '{"M": true, "y": [1.5, 1.5], "c": [0.5]}'),
+    ],
+    ids=["bool", "numeric-string", "huge-int", "bool-order"],
+)
+def test_non_number_json_fields_exit_2(tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run_cli(*argv, str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 2
+    assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "SERIES"],

@@ -6,6 +6,7 @@ high-precision mpmath evaluation rather than against the formulas themselves.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -25,17 +26,14 @@ from b2gbounds import (
     summarize,
 )
 from b2gbounds.series import (
-    D2SINC_BIG,
-    D2SINC_CUT,
-    DSINC_CUT,
+    _TAYLOR,
+    _TAYLOR_CUTS,
     coefficient_decay_bound,
-    d2sinc,
-    dsinc,
-    kernel_dds,
     kernel_ds,
+    kernel_jet,
     kernel_s,
     parseval_tail_bound,
-    sinc,
+    sinc_jet,
 )
 
 from b2gbounds.checks import coefficient_decay
@@ -52,22 +50,57 @@ def test_sinc_matches_mpmath_across_branch():
     xs = [0.0, 1e-9, 3e-6, 9.9e-5, 1.01e-4, 7e-4, 0.02, 1.3, -2.7, 31.4]
     for x in xs:
         exact = float(mpmath.sinc(mpmath.mpf(x)))
-        assert sinc(x) == pytest.approx(exact, rel=1e-15, abs=1e-15)
+        assert sinc_jet(x, 0)[0] == pytest.approx(exact, rel=1e-15, abs=1e-15)
 
 
 def test_sinc_derivatives_match_mpmath_across_branch():
     mpmath.mp.dps = 40
     # both sides of each Taylor/direct switch, plus points well inside each
     # branch; near the old cut 1e-2 the direct form lost 3.7e-12
-    cases = ((dsinc, 1, DSINC_CUT, 5e-14), (d2sinc, 2, D2SINC_CUT, 1e-13))
-    for fn, order, cut, tol in cases:
+    for order, tol in ((1, 5e-14), (2, 1e-13)):
+        cut = _TAYLOR_CUTS[order]
         xs = [1e-9, 3e-6, 0.0101, 0.03, 0.1, 0.5 * cut, 0.99 * cut, 0.999999 * cut]
         xs += [cut, 1.000001 * cut, 1.01 * cut, 1.5 * cut, 0.7, 1.3, 3.0, 31.4]
         for x in xs + [-v for v in xs]:
             exact = float(mpmath.diff(mpmath.sinc, mpmath.mpf(x), order))
-            assert fn(x) == pytest.approx(exact, rel=tol, abs=0.0), (order, x)
-    assert dsinc(0.0) == 0.0
-    assert d2sinc(0.0) == pytest.approx(-1.0 / 3.0, rel=1e-16)
+            value = sinc_jet(x, 2)[order]
+            assert value == pytest.approx(exact, rel=tol, abs=0.0), (order, x)
+    assert sinc_jet(0.0, 2)[1] == 0.0
+    assert sinc_jet(0.0, 2)[2] == pytest.approx(-1.0 / 3.0, rel=1e-16)
+
+
+def test_taylor_coefficients_are_exact_rationals_rounded_once():
+    # sinc^(k)(x) = sum_n (-1)^n (2n)! / ((2n+1)! (2n-k)!) x^(2n-k)
+    f = math.factorial
+    for k, table in enumerate(_TAYLOR):
+        first = (k + 1) // 2
+        for n, coeff in enumerate(table, start=first):
+            exact = Fraction((-1) ** n * f(2 * n), f(2 * n + 1) * f(2 * n - k))
+            assert coeff == float(exact), (k, n)
+    assert [len(t) for t in _TAYLOR] == [4, 6, 6]
+
+
+def test_lower_order_jets_are_prefixes_of_the_full_jet():
+    cuts = [c * f for c in _TAYLOR_CUTS for f in (0.999999, 1.0, 1.000001)]
+    x = np.array([0.0, 5e-324, 1e-300, 3e-6, 0.07, 0.9, 17.3, 5.7e102] + cuts)
+    x = np.concatenate([x, -x, np.linspace(-40, 40, 4001)])
+    full = kernel_jet(x, 2)
+    for k in (0, 1):
+        jet = kernel_jet(x, k)
+        assert len(jet) == k + 1
+        for j in range(k + 1):
+            assert np.array_equal(jet[j], full[j]), (k, j)
+    assert np.array_equal(kernel_s(x), full[0])
+    assert np.array_equal(kernel_ds(x), full[1])
+
+
+def test_jets_raise_no_floating_point_warning():
+    xs = [0.0, 5e-324, 1e-300, 5.7e102, 1e160, 1.7e308] + list(_TAYLOR_CUTS) + [1e100]
+    x = np.array(xs + [-v for v in xs])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        values = sinc_jet(x, 2)
+        kernels = kernel_jet(x[np.abs(x) < 1e200], 2)
+    assert all(np.isfinite(v).all() for v in values + kernels)
 
 
 def test_kernel_s_matches_quadrature():
@@ -87,16 +120,16 @@ def test_kernel_s_even_and_bounded():
 def test_kernels_do_not_overflow_at_huge_arguments():
     # the Taylor polynomial must not square an argument the direct branch takes
     theta = 1e160
-    values = [kernel_s(theta), kernel_ds(theta)]
+    values = list(kernel_jet(theta, 1))
     values += list(fourier_coefficients(CosineSeries([(1.0, theta)]), 2))
     assert all(math.isfinite(v) for v in values)
-    # x^3 overflows past 5.6e102 and x^2 past 1.3e154; on both sides of
-    # D2SINC_BIG, sinc''(x) = -sin(x)/x to far below double precision
-    for x in (5.7e102, 1.4e154, 1e160, 1.7e308, 0.999 * D2SINC_BIG, D2SINC_BIG):
+    # x^3 overflows past 5.6e102 and x^2 past 1.3e154; on both sides of the
+    # far-x switch at 1e100, sinc''(x) = -sin(x)/x to far below double precision
+    for x in (5.7e102, 1.4e154, 1e160, 1.7e308, 0.999e100, 1e100):
         for v in (x, -x):
             leading = -math.sin(v) / v
-            assert d2sinc(v) == pytest.approx(leading, rel=1e-14, abs=0.0), v
-    assert all(math.isfinite(kernel_dds(x)) for x in (5.7e102, 1.4e154, 1e160))
+            assert sinc_jet(v, 2)[2] == pytest.approx(leading, rel=1e-14, abs=0.0), v
+    assert all(math.isfinite(kernel_jet(x, 2)[2]) for x in (5.7e102, 1.4e154, 1e160))
 
 
 # -- construction and evaluation -------------------------------------------

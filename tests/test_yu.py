@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from b2gbounds import (
+    BracketError,
     ToleranceError,
     ValidationError,
     YuParams,
@@ -17,6 +19,7 @@ from b2gbounds import (
     yu_evaluate,
     yu_series,
 )
+from b2gbounds import yu
 from b2gbounds.yu import ROUND_SLACK, _BLOCK, _digamma, _trigamma, yu_functionals
 
 
@@ -194,6 +197,19 @@ def test_refine_degenerate_interval():
     lam, constant = lambda_refine((0.75, 0.75), tol_lambda=1e-6, tol_value=1e-9)
     assert lam == 0.75
     assert constant == pytest.approx(1.7424537454215443, abs=1e-9)
+
+
+def test_refine_rejects_two_basins(monkeypatch):
+    # golden section is drawn to the wide basin at 0.85; the validation grid
+    # (step 0.0125) finds the deep narrow one at 0.58 first at 0.5625
+    def two_basins(params, tol):
+        lam = params.lam
+        value = min(1000 * (lam - 0.58) ** 2 - 1, (lam - 0.85) ** 2)
+        return SimpleNamespace(constant=value)
+
+    monkeypatch.setattr(yu, "yu_evaluate", two_basins)
+    with pytest.raises(BracketError, match="not unimodal: grid point 0.562500"):
+        lambda_refine((0.55, 0.95))
 
 
 def test_refine_matches_dense_grid():
