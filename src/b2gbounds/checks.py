@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .bounds import max_size_bound
 from .combinatorics import (
     IntSet,

@@ -31,9 +31,8 @@ import sys
 import time
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__, checks, jsonutil
+from ._numpy import np
 from .bounds import max_size_bound
 from .combinatorics import exhaustive_f, f_table
 from .errors import (

@@ -27,8 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BudgetError, ValidationError
 from .series import CosineSeries, eval_w
 

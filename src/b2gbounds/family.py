@@ -43,15 +43,15 @@ projected-gradient infinity norm, and the result names why the run stopped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
 from .series import CosineSeries, kernel_jet
 
 BOX_EPS = 1e-9
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 # Trust-region constants: initial radius in the packed (y, c) coordinates,
 # least actual/predicted gain ratio that accepts a step, and the predicted
 # gain (relative to |rho|) below which the ratio is rounding noise.

@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, ValidationError
 
 # S and its derivatives come from one jet of sinc(x) = sin(x)/x:

@@ -41,37 +41,68 @@ def series_file(tmp_path):
 
 
 def test_version_flag():
-    # the one test that goes through the module entry point
+    # the one test that goes through the module entry point, as the
+    # benchmark times it; -X importtime lists every module imported on the
+    # way, and numpy must not be one of them (it loads on first use)
     proc = subprocess.run(
-        [sys.executable, "-m", "b2gbounds.cli", "--version"],
+        [sys.executable, "-X", "importtime", "-m", "b2gbounds.cli", "--version"],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.strip()
     assert proc.stdout == run_cli("--version").stdout
+    imported = [
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "b2gbounds.family" in imported
+    assert [m for m in imported if m.partition(".")[0] == "numpy"] == []
 
 
 def test_cli_import_leaves_out_scipy():
     # scipy is a test dependency only; importing it (and the numpy.testing
-    # and numpy.f2py it pulls in) would cost every b2g process ~0.3 s
-    code = (
-        "import sys, b2gbounds.cli; print(sorted(m for m in sys.modules if "
-        "m.partition('.')[0] == 'scipy' "
-        "or m.startswith(('numpy.testing', 'numpy.f2py'))))"
-    )
+    # and numpy.f2py it pulls in) would cost every b2g process ~0.3 s.
+    # numpy loads on first use (b2gbounds._numpy), so neither the import
+    # nor a search loads numpy._core.  The import must still load every
+    # module the benchmark traces (TRACED below): its tracer wraps only the
+    # modules in sys.modules once `import b2gbounds.cli` returns.
+    modules = sorted({"b2gbounds." + name.partition(".")[0] for name in TRACED})
+    code = f"""
+import contextlib, io, json, sys
+import b2gbounds.cli
+report = {{"untraceable": [m for m in {modules!r} if m not in sys.modules],
+          "numpy_on_import": "numpy._core" in sys.modules}}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["search_exit"] = b2gbounds.cli.main(["search", "--g", "1", "--n", "5"])
+report["numpy_after_search"] = "numpy._core" in sys.modules
+report["scipy"] = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
+                         or m.startswith(("numpy.testing", "numpy.f2py")))
+print(json.dumps(report))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == {
+        "untraceable": [],
+        "numpy_on_import": False,
+        "search_exit": 0,
+        "numpy_after_search": False,
+        "scipy": [],
+    }
 
 
 # Functions the benchmark traces by name: perfbench/inproc.py wraps them
 # through sys.modules after importing b2gbounds.cli and counts the scan's
 # .checked, and perfbench/run.py builds per-layer keys from their timings.
-# A renamed one does not fail a traced run; its keys just go missing.  Only
-# a change to the benchmark itself (ROADMAP item 1) moves this list.
+# Their modules must be loaded by `import b2gbounds.cli` itself; a module
+# loaded later is never wrapped (test_cli_import_leaves_out_scipy checks
+# this in a fresh interpreter).  A renamed or unwrapped one leaves its keys
+# out of the traced run's result, which then lacks per-layer metrics that
+# BENCHMARK.json declares, so the run does not count as a measurement.
+# Only a change to the benchmark itself (ROADMAP item 1) moves this list.
 TRACED = (
     "family.optimize",
     "family.rho_and_grad",
