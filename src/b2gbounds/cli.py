@@ -18,7 +18,7 @@ bound and yu, run statistics); the timestamp and the statistics' wall time
 are the only fields excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
-4 budget/tolerance exhausted, 5 verification failure.
+4 budget/tolerance exhausted or out of memory, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ToleranceError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"budget exhausted: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -13,17 +13,19 @@ wraparound term absent from the pure solution count.  The bound pipeline
 consumes s_dft, which for every B2[g] set satisfies s_dft <= (2g-1) |A|^2.
 
 F(g, N), the largest B2[g] subset of [0, N], is computed by one sequential
-depth-first branch and bound over increasing elements with incremental
-pairwise-sum counts.  The rows F(g, 0), F(g, 1), ... are built in turn, and
-each row prunes with the ones before it: the elements >= x of a B2[g] set,
-shifted down by x, are a B2[g] set in [0, N - x].  Ties are broken toward the
-lexicographically smallest maximal witness.
+depth-first branch and bound over increasing elements.  Each node holds its
+set as a bitmask and its pairwise sums as g bitmask layers (see _extend),
+the state that the enumeration of all B2[g] sets walks too.  The rows
+F(g, 0), F(g, 1), ... are built in turn, and each row prunes with the ones
+before it: the elements >= x of a B2[g] set, shifted down by x, are a B2[g]
+set in [0, N - x].  Ties are broken toward the lexicographically smallest
+maximal witness.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -56,49 +58,33 @@ class IntSet:
         return len(self.elems)
 
 
-class _SumCounts:
-    """A set grown in increasing order, with its pairwise-sum multiplicities.
+def _extend(layers, mask, x):
+    """The sum layers of the set mask plus a new element x, or None if some
+    sum would then have more than g = len(layers) representations.
 
-    counts[s] is the number of pairs a <= b in the set with a + b = s: a list
-    indexed by s in the searches, a defaultdict for an arbitrary set.
+    Bit a of mask is set for each element a, and bit s of layers[k] when s
+    has more than k representations a + b, a <= b.  Adding x gives each of
+    the distinct sums a + x and 2x one more representation, so layer k gains
+    those of them in layer k - 1, and layer 0 gains them all: the bitmask
+    technique of Golomb-ruler search, with g layers.  The layers passed in
+    are left as they are.
     """
-
-    __slots__ = ("g", "counts", "elems")
-
-    def __init__(self, g, counts):
-        self.g = g
-        self.counts = counts
-        self.elems = []
-
-    def push(self, x) -> bool:
-        """Add x, unless some sum would then have more than g representations."""
-        counts, g = self.counts, self.g
-        if counts[2 * x] >= g:
-            return False
-        for a in self.elems:
-            if counts[a + x] >= g:
-                return False
-        for a in self.elems:
-            counts[a + x] += 1
-        counts[2 * x] += 1
-        self.elems.append(x)
-        return True
-
-    def pop(self) -> None:
-        """Undo the last successful push."""
-        x = self.elems.pop()
-        counts = self.counts
-        for a in self.elems:
-            counts[a + x] -= 1
-        counts[2 * x] -= 1
+    sums = mask << x | 1 << 2 * x
+    if sums & layers[-1]:
+        return None
+    grown, below = [], -1
+    for layer in layers:
+        grown.append(layer | below & sums)
+        below = layer
+    return grown
 
 
 def is_b2g(a: IntSet, g: int) -> bool:
     """True iff every integer has at most g representations a+b, a <= b."""
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
-    state = _SumCounts(g, defaultdict(int))
-    return all(state.push(x) for x in a.elems)
+    sums = Counter(x + y for i, x in enumerate(a.elems) for y in a.elems[i:])
+    return all(count <= g for count in sums.values())
 
 
 def diff_profile(a: IntSet) -> dict:
@@ -160,16 +146,15 @@ def enumerate_b2g(g: int, n: int):
         raise ValidationError(f"g must be >= 1, got {g}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    state = _SumCounts(g, [0] * (2 * n + 1))
 
-    def dfs(start):
-        yield tuple(state.elems)
+    def dfs(start, elems, mask, layers):
+        yield elems
         for x in range(start, n + 1):
-            if state.push(x):
-                yield from dfs(x + 1)
-                state.pop()
+            grown = _extend(layers, mask, x)
+            if grown is not None:
+                yield from dfs(x + 1, elems + (x,), mask | 1 << x, grown)
 
-    yield from dfs(0)
+    yield from dfs(0, (), 0, [0] * g)
 
 
 class _BudgetHit(Exception):
@@ -187,26 +172,24 @@ def _search_row(g, n, sizes, nodes, limit):
     so the first maximal set found is the lexicographically smallest.
     """
     cap = sizes + [sizes[-1] + 1 if sizes else 1]
-    state = _SumCounts(g, [0] * (2 * n + 1))
-    cur = state.elems
     best, best_wit = 1, (0,)  # {0}: the lex-smallest set of size 1
 
-    def dfs(start):
+    def dfs(start, cur, mask, layers):
         nonlocal nodes, best, best_wit
         nodes += 1
         if nodes > limit:
             raise _BudgetHit(best, best_wit, nodes)
         size = len(cur)
         if size > best:
-            best, best_wit = size, tuple(cur)
+            best, best_wit = size, cur
         for x in range(start, n + 1):
             if size + cap[n - x] <= best:
                 break
-            if state.push(x):
-                dfs(x + 1)
-                state.pop()
+            grown = _extend(layers, mask, x)
+            if grown is not None:
+                dfs(x + 1, cur + (x,), mask | 1 << x, grown)
 
-    dfs(0)
+    dfs(0, (), 0, [0] * g)
     return best, best_wit, nodes
 
 

@@ -80,10 +80,17 @@ def _emit(obj, out, indent, level):
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial files."""
+    """Write via a temp file + rename so readers never see partial files.
+
+    mkstemp creates the temp file mode 0600; it gets the mode a plain open()
+    would give, 0666 less the umask, before it takes the path's place.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

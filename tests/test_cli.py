@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -275,6 +276,26 @@ def test_yu_command_finite_and_flag_exclusion():
     assert run_cli("yu", "--lambda", "0.8").returncode == 2
     assert run_cli("yu", "--lambda", "0.8", "--m", "5", "--limit").returncode == 2
     assert run_cli("yu", "--lambda", "1.2", "--limit").returncode == 2
+
+
+def test_out_of_memory_exits_4():
+    # numpy refuses the 7 PiB array of a 1e15-term sum before allocating it
+    proc = run_cli("yu", "--lambda", "0.75", "--m", "1e15")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("budget exhausted: out of memory: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_files_follow_umask(tmp_path):
+    out = str(tmp_path / "o.json")
+    old = os.umask(0o022)
+    try:
+        proc = run_cli("search", "--g", "1", "--n", "5", "--out", out)
+    finally:
+        os.umask(old)
+    assert proc.returncode == 0
+    for path in (out, out + ".manifest.json"):
+        assert os.stat(path).st_mode & 0o777 == 0o644, path
 
 
 def test_search_exact_and_budget(tmp_path):

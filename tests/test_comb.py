@@ -56,6 +56,9 @@ def test_is_b2g_known_cases():
     assert not is_b2g(IntSet((0, 1, 2, 3), 3), 1)  # 0+3 = 1+2
     assert is_b2g(IntSet((0, 1, 2, 3), 3), 2)
     assert not is_b2g(IntSet((0, 1, 2, 3, 4), 4), 2)  # 0+4 = 1+3 = 2+2
+    # the cost is in |A| alone: a bitmask over [0, 2N] would need 2e18 bits
+    assert is_b2g(IntSet((0, 1, 10**18), 10**18), 1)
+    assert not is_b2g(IntSet((0, 1, 2, 3), 10**18), 1)
     with pytest.raises(ValidationError):
         is_b2g(IntSet((0, 1), 1), 0)
 
@@ -148,6 +151,15 @@ def test_f_table_matches_enumeration_oracle():
         best_size = max(len(s) for s in sets)
         assert size == best_size, (g, n)
         assert wit == min(s for s in sets if len(s) == best_size), (g, n)
+
+
+def test_search_tree_node_counts():
+    # the benchmark's two table searches visit exactly these nodes, so a
+    # change of search state must keep the visit order and the pruning
+    for g, n_max, nodes in ((1, 29, 13413), (2, 21, 25222)):
+        stats = {}
+        f_table([g], n_max, stats=stats)
+        assert stats["nodes"] == nodes, (g, n_max)
 
 
 def test_known_sidon_values():
