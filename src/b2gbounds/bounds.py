@@ -29,7 +29,7 @@ sqrt(2 (1 - I1^2/I2)) whenever I1 < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 from .series import CosineSeries, FunctionalSummary, summarize
@@ -49,19 +49,18 @@ def reference_min(g: int) -> float:
     return min(REFERENCE_COEFF_PER_G * g, REFERENCE_COEFF_PER_2G1 * (2 * g - 1))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of the finite-N bound for one (series, N, g) triple."""
+class BoundReport(
+    namedtuple("BoundReport", "n g max_size coefficient reference_min summary")
+):
+    """Outcome of the finite-N bound for one (series, N, g) triple;
+    coefficient is max_size / sqrt((2g-1) N)."""
 
-    n: int
-    g: int
-    max_size: int
-    coefficient: float  # max_size / sqrt((2g-1) N)
-    reference_min: float
-    summary: FunctionalSummary
+    __slots__ = ()
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        obj = self._asdict()
+        obj["summary"] = self.summary.to_obj()
+        return obj
 
 
 def _check_np(n: int, g: int) -> None:

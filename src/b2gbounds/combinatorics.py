@@ -18,15 +18,15 @@ set as a bitmask and its pairwise sums as g bitmask layers (see _extend),
 the state that the enumeration of all B2[g] sets walks too.  The rows
 F(g, 0), F(g, 1), ... are built in turn, and each row prunes with the ones
 before it: the elements >= x of a B2[g] set, shifted down by x, are a B2[g]
-set in [0, N - x].  Ties are broken toward the lexicographically smallest
-maximal witness.
+set in [0, N - x].  Once a set of F(g, N - 1) elements is found, only a set
+that contains N can be larger, so a node whose set cannot take N is dropped.
+Ties are broken toward the lexicographically smallest maximal witness.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain
 
 from ._numpy import np
@@ -34,24 +34,21 @@ from .errors import BudgetError, ValidationError
 from .series import CosineSeries, eval_w
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(namedtuple("IntSet", "elems n")):
     """Strictly increasing integers inside the ambient interval [0, n]."""
 
-    elems: tuple
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        elems = tuple(int(e) for e in self.elems)
-        n = int(self.n)
+    def __new__(cls, elems, n):
+        elems = tuple(int(e) for e in elems)
+        n = int(n)
         if n < 0:
             raise ValidationError(f"ambient endpoint must be >= 0, got {n}")
         if any(e2 <= e1 for e1, e2 in zip(elems, elems[1:])):
             raise ValidationError("elements must be strictly increasing")
         if elems and not (0 <= elems[0] and elems[-1] <= n):
             raise ValidationError(f"elements must lie in [0, {n}], got {elems}")
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "n", n)
+        return super().__new__(cls, elems, n)
 
     @property
     def size(self) -> int:
@@ -167,11 +164,17 @@ def _search_row(g, n, sizes, nodes, limit):
     sizes[m] = F(g, m) for every m < n.  Every extension of cur by elements
     >= x has at most len(cur) + F(g, n - x) elements, and F(g, n - 1) + 1
     caps F(g, n) itself.  The cap cannot grow with x, so the first
-    candidate that cannot beat the best ends the loop.  Prefixes are visited
-    in lexicographic order and the best is replaced only on a strict gain,
-    so the first maximal set found is the lexicographically smallest.
+    candidate that cannot beat the best ends the loop.
+
+    Once the best has F(g, n - 1) elements, only a set of F(g, n - 1) + 1
+    can gain, and such a set contains n, since otherwise it would lie in
+    [0, n - 1].  So a node whose set cannot take n (the test of _extend,
+    inline) is a dead end.  Prefixes are visited in lexicographic order and
+    the best is replaced only on a strict gain, so the first maximal set
+    found is the lexicographically smallest.
     """
-    cap = sizes + [sizes[-1] + 1 if sizes else 1]
+    prev = sizes[-1] if sizes else 0
+    cap = sizes + [prev + 1]
     best, best_wit = 1, (0,)  # {0}: the lex-smallest set of size 1
 
     def dfs(start, cur, mask, layers):
@@ -182,6 +185,8 @@ def _search_row(g, n, sizes, nodes, limit):
         size = len(cur)
         if size > best:
             best, best_wit = size, cur
+        if best >= prev and (mask << n | 1 << 2 * n) & layers[-1]:
+            return
         for x in range(start, n + 1):
             if size + cap[n - x] <= best:
                 break
@@ -267,13 +272,11 @@ def f_table(
 _SCAN_BATCH = 4096
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Outcome of an exhaustive inequality scan."""
+class ScanReport(namedtuple("ScanReport", "checked violations max_ratio")):
+    """Outcome of an exhaustive inequality scan; max_ratio is the max over
+    nonempty sets of s_dft / |A|^2."""
 
-    checked: int
-    violations: int
-    max_ratio: float  # max over nonempty sets of s_dft / |A|^2
+    __slots__ = ()
 
 
 def sdft_inequality_scan(g: int, n_max: int) -> ScanReport:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .errors import ValidationError
@@ -103,16 +103,14 @@ FLAT_Y = 1.55
 FLAT_C = 0.75
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(namedtuple("FamilyParams", "y c")):
     """y_0..y_M in (0, pi) and c_1..c_M in (0, 1)."""
 
-    y: tuple
-    c: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        y = tuple(float(v) for v in self.y)
-        c = tuple(float(v) for v in self.c)
+    def __new__(cls, y, c):
+        y = tuple(float(v) for v in y)
+        c = tuple(float(v) for v in c)
         if len(y) != len(c) + 1:
             raise ValidationError(
                 f"need len(y) == len(c) + 1, got {len(y)} and {len(c)}"
@@ -123,23 +121,25 @@ class FamilyParams:
         for v in c:
             if not (0.0 < v < 1.0):
                 raise ValidationError(f"c value {v!r} outside (0, 1)")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, y, c)
 
     @property
     def m(self) -> int:
         return len(self.c)
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
-    params: FamilyParams
-    rho: float
-    constant: float  # 2 * (1 - rho), the bound coefficient this family attains
-    iterations: int  # trust-region iterations, rejected trial steps included
-    converged: bool
-    pg_norm: float  # final projected-gradient infinity norm
-    stop_reason: str  # "converged", "max_iter" or "stalled"
+class OptimizeResult(
+    namedtuple(
+        "OptimizeResult",
+        "params rho constant iterations converged pg_norm stop_reason",
+    )
+):
+    """constant is 2 (1 - rho), the bound coefficient the family attains;
+    iterations counts trust-region iterations, rejected trial steps
+    included; pg_norm is the final projected-gradient infinity norm, and
+    stop_reason is "converged", "max_iter" or "stalled"."""
+
+    __slots__ = ()
 
 
 def to_series(params: FamilyParams) -> CosineSeries:

@@ -36,7 +36,7 @@ significant digits (verified against adaptive quadrature in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .errors import DomainError, ValidationError
@@ -168,8 +168,7 @@ class CosineSeries:
         return not self.coeffs.any()
 
 
-@dataclass(frozen=True)
-class FunctionalSummary:
+class FunctionalSummary(namedtuple("FunctionalSummary", "i1 i2 rho w0 a_upper")):
     """The functionals of one series that both bounds consume.
 
     a_upper is a certified over-estimate of A(w) = |w'(1)| + sup|w''|:
@@ -177,11 +176,7 @@ class FunctionalSummary:
     inequality sum_theta b_theta (2 pi theta)^2.
     """
 
-    i1: float
-    i2: float
-    rho: float
-    w0: float
-    a_upper: float
+    __slots__ = ()
 
     @property
     def constant(self) -> float | None:
@@ -190,7 +185,7 @@ class FunctionalSummary:
 
     def to_obj(self) -> dict:
         """{i1, i2, rho, w0, a_upper}, the summary as the CLI writes it."""
-        return asdict(self)
+        return self._asdict()
 
 
 def constant_from(i1: float, i2: float) -> float | None:

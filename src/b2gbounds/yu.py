@@ -36,7 +36,7 @@ of either value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._numpy import np
 from .errors import BracketError, ToleranceError, ValidationError
@@ -99,39 +99,32 @@ def _trigamma(x) -> np.ndarray:
     return t + 0.5 * z + t * z * np.polyval(_BERNOULLI[::-1], z) + carry
 
 
-@dataclass(frozen=True)
-class YuParams:
+class YuParams(namedtuple("YuParams", "lam truncation")):
     """lambda in (1/2, 1) plus a truncation order M >= 0 or the LIMIT marker.
 
     The lambda window guarantees sin(2 pi lambda) < 0 and hence I1 < 0, the
     hypothesis of the asymptotic bound; it covers every value of interest.
     """
 
-    lam: float
-    truncation: int | str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.5 < self.lam < 1.0):
-            raise ValidationError(
-                f"lambda must lie in (1/2, 1), got {self.lam!r}"
-            )
-        t = self.truncation
+    def __new__(cls, lam, truncation):
+        if not (0.5 < lam < 1.0):
+            raise ValidationError(f"lambda must lie in (1/2, 1), got {lam!r}")
+        t = truncation
         if t != LIMIT and not (isinstance(t, int) and t >= 0):
             raise ValidationError(
                 f'truncation must be an integer >= 0 or "{LIMIT}", got {t!r}'
             )
+        return super().__new__(cls, lam, t)
 
     @property
     def is_limit(self) -> bool:
         return self.truncation == LIMIT
 
 
-@dataclass(frozen=True)
-class YuResult:
-    lam: float
-    truncation: int | str
-    constant: float
-    error_bound: float
+class YuResult(namedtuple("YuResult", "lam truncation constant error_bound")):
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {

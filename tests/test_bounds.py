@@ -132,7 +132,9 @@ def test_report_fields_and_serialization():
         report.max_size / math.sqrt((2 * 2 - 1) * 1000), rel=1e-15
     )
     obj = report.to_obj()
-    assert set(obj) == {"n", "g", "max_size", "coefficient", "reference_min", "summary"}
+    assert list(obj) == ["n", "g", "max_size", "coefficient", "reference_min", "summary"]
+    assert type(obj["summary"]) is dict
+    assert list(obj["summary"]) == ["i1", "i2", "rho", "w0", "a_upper"]
     assert obj["summary"]["i1"] == report.summary.i1
 
 

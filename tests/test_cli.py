@@ -68,13 +68,17 @@ def test_cli_import_leaves_out_scipy():
     # numpy loads on first use (b2gbounds._numpy), so neither the import
     # nor a search loads numpy._core.  The import must still load every
     # module the benchmark traces (TRACED below): its tracer wraps only the
-    # modules in sys.modules once `import b2gbounds.cli` returns.
+    # modules in sys.modules once `import b2gbounds.cli` returns.  The
+    # records are namedtuples, so neither dataclasses nor the inspect it
+    # loads is imported; pytest imports both, hence the fresh interpreter.
     modules = sorted({"b2gbounds." + name.partition(".")[0] for name in TRACED})
     code = f"""
 import contextlib, io, json, sys
 import b2gbounds.cli
 report = {{"untraceable": [m for m in {modules!r} if m not in sys.modules],
-          "numpy_on_import": "numpy._core" in sys.modules}}
+          "numpy_on_import": "numpy._core" in sys.modules,
+          "dataclasses": "dataclasses" in sys.modules,
+          "inspect": "inspect" in sys.modules}}
 with contextlib.redirect_stdout(io.StringIO()):
     report["search_exit"] = b2gbounds.cli.main(["search", "--g", "1", "--n", "5"])
 report["numpy_after_search"] = "numpy._core" in sys.modules
@@ -89,6 +93,8 @@ print(json.dumps(report))
     assert json.loads(proc.stdout) == {
         "untraceable": [],
         "numpy_on_import": False,
+        "dataclasses": False,
+        "inspect": False,
         "search_exit": 0,
         "numpy_after_search": False,
         "scipy": [],
@@ -131,6 +137,27 @@ def test_package_exports_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(b2gbounds, name, None) is not None, name
+
+
+def test_records_are_immutable_and_validated():
+    # the records are namedtuples: no attribute can be set, and keyword
+    # construction runs the same checks and normalisation
+    records = (
+        b2gbounds.IntSet(elems=(0, 1, 3), n=5),
+        b2gbounds.FamilyParams(y=(1.0, 1.5), c=(0.5,)),
+        b2gbounds.YuParams(lam=0.75, truncation=3),
+        b2gbounds.max_size_bound(CosineSeries([(1.0, 0.75)]), 1000, 2),
+    )
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    with pytest.raises(b2gbounds.ValidationError):
+        b2gbounds.YuParams(lam=0.4, truncation=3)
+    with pytest.raises(b2gbounds.ValidationError):
+        b2gbounds.IntSet(elems=(3, 1), n=5)
+    with pytest.raises(b2gbounds.ValidationError):
+        b2gbounds.FamilyParams(y=(1.0,), c=(0.5,))
+    assert b2gbounds.IntSet(elems=[0.0, 2], n=4.0) == ((0, 2), 4)
 
 
 def test_analyze_reports_constant(series_file):
