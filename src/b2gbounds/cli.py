@@ -320,6 +320,9 @@ def cmd_optimize(args) -> int:
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,
         "pg_norm": result.pg_norm,
+        "evaluations": result.evaluations,
+        "cholesky_steps": result.cholesky_steps,
+        "eigh_calls": result.eigh_calls,
         "wall_s": wall_s,
     }
     _emit(

@@ -32,12 +32,16 @@ theta_j = (y_j + (2j+1) pi)/(2 pi) and b_j = c_j / j.
 Optimization is projected trust-region Newton on the closed box
 [eps, pi - eps] x [eps, 1 - eps] (eps = 1e-9): variables held at a face by
 the gradient are fixed, and each step solves the trust-region subproblem on
-the free variables exactly from one symmetric eigendecomposition of the
-dense (2M+1)^2 Hessian (Moré & Sorensen 1983; Nocedal & Wright, Numerical
-Optimization, ch. 4).  From the tabulated start it converges in a handful
-of iterations up to M = 400.  The method is deterministic for a fixed start,
-so runs are reproducible.  Convergence is judged by the final
-projected-gradient infinity norm, and the result names why the run stopped.
+the free variables exactly (Moré & Sorensen 1983; Nocedal & Wright,
+Numerical Optimization, ch. 4).  A Cholesky factorization of the free block
+of -Hessian is tried first: when it exists and the Newton step fits in the
+trust radius, that step is the solution.  Otherwise the subproblem is solved
+from one symmetric eigendecomposition of the block, computed at most once
+per iterate.  From the tabulated start it converges in a handful of
+iterations up to M = 400, most of them Newton steps.  The method is
+deterministic for a fixed start, so runs are reproducible.  Convergence is
+judged by the final projected-gradient infinity norm, and the result names
+why the run stopped.
 """
 
 from __future__ import annotations
@@ -131,13 +135,17 @@ class FamilyParams(namedtuple("FamilyParams", "y c")):
 class OptimizeResult(
     namedtuple(
         "OptimizeResult",
-        "params rho constant iterations converged pg_norm stop_reason",
+        "params rho constant iterations converged pg_norm stop_reason"
+        " evaluations cholesky_steps eigh_calls",
     )
 ):
     """constant is 2 (1 - rho), the bound coefficient the family attains;
     iterations counts trust-region iterations, rejected trial steps
     included; pg_norm is the final projected-gradient infinity norm, and
-    stop_reason is "converged", "max_iter" or "stalled"."""
+    stop_reason is "converged", "max_iter" or "stalled".  evaluations
+    counts rho_grad_hess calls, cholesky_steps the steps taken as Newton
+    steps from the Cholesky test, and eigh_calls the eigendecompositions
+    the other steps needed (at most one per iterate)."""
 
     __slots__ = ()
 
@@ -176,7 +184,7 @@ def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
     s_th = kernel_jet(th, order)
     s_d = kernel_jet(th[:, None] - th[None, :], order)
     s_p = kernel_jet(th[:, None] + th[None, :], order)
-    # only the sums and S''(P) - S''(D) stay alive beside the Hessian blocks
+    # only the sums and S''(P) - S''(D) stay alive; the I2 Hessian forms in them
     s_sum = [d + p for d, p in zip(s_d, s_p)]
     sdd_gap = s_p[2] - s_d[2] if order == 2 else None
     del s_d, s_p
@@ -184,39 +192,47 @@ def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
     ab = s_sum[0] @ b
     i2 = 0.5 * float(b @ ab)
     dab = s_sum[1] @ b
-    g1 = np.concatenate([b * s_th[1], s_th[0]])  # [dI1/dtheta, dI1/db]
-    g2 = np.concatenate([b * dab, ab])  # [dI2/dtheta, dI2/db]
+    n = m + 1
+    # [dI1/dtheta, dI1/db] and [dI2/dtheta, dI2/db]; b_0 = 1 is not a parameter
+    g1 = np.delete(np.concatenate([b * s_th[1], s_th[0]]), n)
+    g2 = np.delete(np.concatenate([b * dab, ab]), n)
     rho = i1 * i1 / i2
     # d(y, c)/d(theta, b_1..b_M): theta_j = (y_j + (2j+1) pi)/(2 pi), b_j = c_j/j
-    d = np.concatenate([np.full(m + 1, 2.0 * math.pi), np.arange(1.0, m + 1)])
-    # b_0 = 1 is not a parameter: drop its entry
-    grad = np.delete((2.0 * i1 / i2) * g1 - (i1 * i1 / (i2 * i2)) * g2, m + 1) / d
+    d = np.concatenate([np.full(n, 2.0 * math.pi), np.arange(1.0, n)])
+    grad = ((2.0 * i1 / i2) * g1 - (i1 * i1 / (i2 * i2)) * g2) / d
     if order == 1:
         return rho, grad
 
-    n = m + 1
-    h1 = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    h1[idx, idx] = b * s_th[2]
-    h1[idx, n + idx] = h1[n + idx, idx] = s_th[1]
-    h2 = np.empty((2 * n, 2 * n))
-    h2[:n, :n] = np.outer(b, b) * sdd_gap
-    h2[idx, idx] += b * (s_sum[2] @ b)
-    h2[:n, n:] = b[:, None] * s_sum[1]
-    h2[idx, n + idx] += dab
-    h2[n:, :n] = h2[:n, n:].T
-    h2[n:, n:] = s_sum[0]
-
-    cross = np.outer(g1, g2)
-    hess = (
-        (2.0 / i2) * np.outer(g1, g1)
-        - (2.0 * i1 / (i2 * i2)) * (cross + cross.T)
-        + (2.0 * i1 * i1 / (i2 * i2 * i2)) * np.outer(g2, g2)
-        + (2.0 * i1 / i2) * h1
-        - (i1 * i1 / (i2 * i2)) * h2
-    )
-    hess = np.delete(np.delete(hess, m + 1, axis=0), m + 1, axis=1)
-    return rho, grad, hess / d[:, None] / d[None, :]
+    # The quotient rule ((((A - B) + C) + D) - E) / d_i / d_j, accumulated in
+    # place: A, B, C from outer products of g1 and g2, D the I1 Hessian on its
+    # three nonzero diagonals, E the I2 Hessian formed in its kernel blocks.
+    hess = np.outer(g1, g1)
+    hess *= 2.0 / i2
+    tmp = np.outer(g1, g2)
+    tmp += tmp.T
+    tmp *= 2.0 * i1 / (i2 * i2)
+    hess -= tmp
+    np.outer(g2, g2, out=tmp)
+    tmp *= 2.0 * i1 * i1 / (i2 * i2 * i2)
+    hess += tmp
+    idx, jdx = np.arange(n), np.arange(1, n)
+    hess[idx, idx] += (2.0 * i1 / i2) * (b * s_th[2])
+    theta_b = (2.0 * i1 / i2) * s_th[1][1:]
+    hess[jdx, m + jdx] += theta_b
+    hess[m + jdx, jdx] += theta_b
+    sdd_gap *= np.outer(b, b)
+    sdd_gap[idx, idx] += b * (s_sum[2] @ b)
+    s_sum[1] *= b[:, None]
+    s_sum[1][idx, idx] += dab
+    for block in (sdd_gap, s_sum[1], s_sum[0]):
+        block *= i1 * i1 / (i2 * i2)
+    hess[:n, :n] -= sdd_gap
+    hess[:n, n:] -= s_sum[1][:, 1:]
+    hess[n:, :n] -= s_sum[1][:, 1:].T
+    hess[n:, n:] -= s_sum[0][1:, 1:]
+    hess /= d[:, None]
+    hess /= d[None, :]
+    return rho, grad, hess
 
 
 def rho_and_grad(x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
@@ -340,11 +356,14 @@ def optimize(
 
     Projected trust-region Newton on f = -rho.  A variable at a box face
     whose gradient points out of the box is fixed; the trust-region
-    subproblem on the free variables is solved exactly from one eigh of the
-    free block of the Hessian (_trust_region_step).  The trial point is
-    clipped to the box and accepted on the ratio of actual to predicted
-    gain; once the predicted gain is at rounding level, it is accepted when
-    the projected-gradient norm falls instead.  The run stops when that norm
+    subproblem on the free variables is solved exactly.  If the free block
+    of -Hessian has a Cholesky factor (it is positive definite) and its
+    Newton step lies within the radius, that step is taken; otherwise the
+    step comes from one eigh of the block (_trust_region_step), kept across
+    rejected steps at the same iterate.  The trial point is clipped to the
+    box and accepted on the ratio of actual to predicted gain; once the
+    predicted gain is at rounding level, it is accepted when the
+    projected-gradient norm falls instead.  The run stops when that norm
     is below grad_tol ("converged"), after max_iter iterations
     ("max_iter"), or when the trust radius can no longer move x
     ("stalled").
@@ -365,9 +384,10 @@ def optimize(
     lo, hi = _box(m)
     x = np.clip(_pack(start), lo, hi)
     rho, grad, hess = rho_grad_hess(x, m)
+    evaluations, cholesky_steps, eigh_calls = 1, 0, 0
     pg_norm = projected_gradient_norm(x, -grad, m)
     delta = TR_RADIUS0
-    eig = None  # eigen-decomposition of the free block at x, kept across rejections
+    free = None  # free variables at x; with newton and eig, kept across rejections
     iteration = 0
     stop_reason = "max_iter"
     while True:
@@ -379,19 +399,36 @@ def optimize(
         if delta <= EPS * (1.0 + float(np.max(np.abs(x)))):
             stop_reason = "stalled"
             break
-        if eig is None:
+        if free is None:
             # maximizing rho: grad points uphill, so it points out of the
             # box at a lower face when negative and at an upper face when positive
             fixed = ((x <= lo) & (grad < 0.0)) | ((x >= hi) & (grad > 0.0))
             free = np.flatnonzero(~fixed)
-            eig = free, *np.linalg.eigh(-hess[np.ix_(free, free)])
-        free, lam, q = eig
+            # -H_free has a Cholesky factor iff it is positive definite, and
+            # then its Newton step is the subproblem's interior candidate;
+            # the block is not kept, eigh rebuilds it if a step needs it
+            block, newton, eig = -hess[np.ix_(free, free)], None, None
+            try:
+                np.linalg.cholesky(block)
+                newton = np.linalg.solve(block, grad[free])
+            except np.linalg.LinAlgError:
+                pass
+            del block
+        if newton is not None and np.linalg.norm(newton) <= delta:
+            p = newton
+            cholesky_steps += 1
+        else:
+            if eig is None:
+                eig = np.linalg.eigh(-hess[np.ix_(free, free)])
+                eigh_calls += 1
+            p = _trust_region_step(*eig, -grad[free], delta)
         trial = x.copy()
-        trial[free] += _trust_region_step(lam, q, -grad[free], delta)
+        trial[free] += p
         trial = np.clip(trial, lo, hi)
         step = trial - x
         predicted = float(grad @ step + 0.5 * step @ (hess @ step))
         rho_t, grad_t, hess_t = rho_grad_hess(trial, m)
+        evaluations += 1
         pg_t = projected_gradient_norm(trial, -grad_t, m)
         step_norm = float(np.linalg.norm(step))
         if predicted <= ROUNDING * abs(rho):
@@ -407,7 +444,7 @@ def optimize(
                 delta *= 2.0
         if accept:
             x, rho, grad, hess, pg_norm = trial, rho_t, grad_t, hess_t, pg_t
-            eig = None
+            free = None
         iteration += 1
         if callback is not None:
             callback(x.copy())
@@ -422,4 +459,7 @@ def optimize(
         converged=stop_reason == "converged",
         pg_norm=pg_norm,
         stop_reason=stop_reason,
+        evaluations=evaluations,
+        cholesky_steps=cholesky_steps,
+        eigh_calls=eigh_calls,
     )

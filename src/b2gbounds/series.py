@@ -64,11 +64,12 @@ _TWO_PI = 2.0 * math.pi
 def sinc_jet(x, order: int) -> list:
     """[sinc, sinc', sinc''][:order + 1] at x, sinc(x) = sin(x)/x, sinc(0) = 1.
 
-    x may be a scalar or an array.  One sin and (for order >= 1) one cos
-    per call feed every direct branch.  The Taylor polynomials see 0 beyond
-    the widest cut, so a huge x cannot overflow x * x.
+    x may be a scalar or an array, and each value has its shape.  One sin and
+    (for order >= 1) one cos feed every direct branch.  The Taylor polynomials
+    run only on entries inside the widest cut, so no huge x * x can overflow.
     """
-    x = np.asarray(x, dtype=float)
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).reshape(-1)
     taylor = [np.abs(x) < cut for cut in _TAYLOR_CUTS[: order + 1]]
     safe = np.where(taylor[0], 1.0, x)
     s = np.sin(safe)
@@ -86,7 +87,8 @@ def sinc_jet(x, order: int) -> list:
             stepwise = ((2.0 / safe - safe) * s - 2.0 * c) / safe / safe
             jet[2] = np.where(far, stepwise, jet[2])
     # the cuts grow with k, so the last mask is the widest
-    near = np.where(taylor[-1], x, 0.0)
+    inside = np.flatnonzero(taylor[-1])
+    near = x[inside]
     u2 = near * near
     for k in range(order + 1):
         poly = np.full_like(u2, _TAYLOR[k][-1])
@@ -95,8 +97,9 @@ def sinc_jet(x, order: int) -> list:
             poly += a
         if k % 2:
             poly *= near
-        jet[k] = np.where(taylor[k], poly, jet[k])
-    return jet
+        within = taylor[k][inside]
+        jet[k][inside[within]] = poly[within]
+    return [v.reshape(shape) for v in jet]
 
 
 def kernel_jet(x, order: int) -> list:

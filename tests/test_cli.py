@@ -438,6 +438,19 @@ def test_optimize_manifest_stats(tmp_path):
     assert stats["stop_reason"] == "max_iter" and stats["iterations"] == 2
 
 
+def test_optimize_manifest_counts_evaluations_and_step_routes(tmp_path):
+    # the benchmark's run: the free block of -Hessian is indefinite at the
+    # start (lowest eigenvalue -2.8e-7); at the next iterate it is positive
+    # definite but the Newton step is too long; three Newton steps follow
+    out = str(tmp_path / "opt.json")
+    proc = run_cli("optimize", "--m", "200", "--init", "paper", "--out", out)
+    assert proc.returncode == 0
+    with open(out + ".manifest.json") as fh:
+        stats = json.load(fh)["stats"]
+    want = {"iterations": 5, "evaluations": 6, "cholesky_steps": 3, "eigh_calls": 2}
+    assert {k: stats[k] for k in want} == want
+
+
 def test_optimize_init_from_params_file(tmp_path):
     out = str(tmp_path / "seed.json")
     run_cli("optimize", "--m", "4", "--out", out)

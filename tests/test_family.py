@@ -14,16 +14,25 @@ from b2gbounds import (
     optimize,
     to_series,
 )
+from b2gbounds import family
 from b2gbounds.family import (
     BOX_EPS,
     REF_C,
     REF_Y,
     _pack,
+    _series_arrays,
     _trust_region_step,
+    _unpack,
     rho_and_grad,
     rho_grad_hess,
 )
-from b2gbounds.series import integral_i1, integral_i2, kernel_s, summarize
+from b2gbounds.series import (
+    integral_i1,
+    integral_i2,
+    kernel_jet,
+    kernel_s,
+    summarize,
+)
 
 
 def test_to_series_structure():
@@ -106,6 +115,66 @@ def test_hessian_matches_central_differences(rng):
     assert worst < 1e-9, worst
 
 
+def dense_rho_grad_hess(x, m):
+    """rho, gradient and Hessian from the dense assembly: the I1 and I2
+    Hessians h1 and h2 built in full (theta, b_0..b_M) coordinates, combined
+    by the quotient rule, then b_0's row and column deleted."""
+    y, c = _unpack(np.asarray(x, dtype=float), m)
+    b, th = _series_arrays(y, c)
+    s_th = kernel_jet(th, 2)
+    s_d = kernel_jet(th[:, None] - th[None, :], 2)
+    s_p = kernel_jet(th[:, None] + th[None, :], 2)
+    s_sum = [d + p for d, p in zip(s_d, s_p)]
+    sdd_gap = s_p[2] - s_d[2]
+    i1 = float(b @ s_th[0])
+    ab = s_sum[0] @ b
+    i2 = 0.5 * float(b @ ab)
+    dab = s_sum[1] @ b
+    g1 = np.concatenate([b * s_th[1], s_th[0]])
+    g2 = np.concatenate([b * dab, ab])
+    d = np.concatenate([np.full(m + 1, 2.0 * math.pi), np.arange(1.0, m + 1)])
+    grad = np.delete((2.0 * i1 / i2) * g1 - (i1 * i1 / (i2 * i2)) * g2, m + 1) / d
+
+    n = m + 1
+    h1 = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    h1[idx, idx] = b * s_th[2]
+    h1[idx, n + idx] = h1[n + idx, idx] = s_th[1]
+    h2 = np.empty((2 * n, 2 * n))
+    h2[:n, :n] = np.outer(b, b) * sdd_gap
+    h2[idx, idx] += b * (s_sum[2] @ b)
+    h2[:n, n:] = b[:, None] * s_sum[1]
+    h2[idx, n + idx] += dab
+    h2[n:, :n] = h2[:n, n:].T
+    h2[n:, n:] = s_sum[0]
+
+    cross = np.outer(g1, g2)
+    hess = (
+        (2.0 / i2) * np.outer(g1, g1)
+        - (2.0 * i1 / (i2 * i2)) * (cross + cross.T)
+        + (2.0 * i1 * i1 / (i2 * i2 * i2)) * np.outer(g2, g2)
+        + (2.0 * i1 / i2) * h1
+        - (i1 * i1 / (i2 * i2)) * h2
+    )
+    hess = np.delete(np.delete(hess, m + 1, axis=0), m + 1, axis=1)
+    return i1 * i1 / i2, grad, hess / d[:, None] / d[None, :]
+
+
+def test_in_place_hessian_matches_dense_assembly_bit_for_bit(rng):
+    starts = [
+        (m, initial_params(m, "random", seed=int(rng.integers(1 << 30))))
+        for m in (0, 1, 2, 5, 20)
+    ]
+    starts += [(m, initial_params(m, "paper")) for m in (50, 200)]
+    for m, params in starts:
+        x = _pack(params)
+        rho, grad, hess = rho_grad_hess(x, m)
+        want = dense_rho_grad_hess(x, m)
+        assert rho == want[0], m
+        assert np.array_equal(grad, want[1]), m
+        assert np.array_equal(hess, want[2]), m
+
+
 def _subproblem_value(g, hmat, p):
     return float(g @ p + 0.5 * p @ hmat @ p)
 
@@ -149,6 +218,76 @@ def test_trust_region_step_hard_case():
     assert np.linalg.norm(p) == pytest.approx(2.0, rel=1e-12)
     assert p[1] == pytest.approx(-1.0 / 3.0, rel=1e-12)
     assert abs(p[0]) == pytest.approx(math.sqrt(4.0 - 1.0 / 9.0), rel=1e-12)
+
+
+def quadratic_objective(monkeypatch, amat, x_star):
+    """Make optimize see rho(x) = -(x - x*) A (x - x*) / 2 in place of the
+    family, so that -A is the Hessian whose free block it factors."""
+
+    def rho_grad_hess_quadratic(x, m):
+        r = x - x_star
+        return -0.5 * float(r @ amat @ r), -(amat @ r), -amat
+
+    monkeypatch.setattr(family, "rho_grad_hess", rho_grad_hess_quadratic)
+
+
+def first_step(m, init, **kwargs):
+    x0 = _pack(initial_params(m, init))
+    seen = []
+    result = optimize(m, init, callback=seen.append, **kwargs)
+    return x0, seen[0] - x0, result
+
+
+def test_positive_definite_block_takes_the_cholesky_step(monkeypatch, rng):
+    # -H = A is positive definite and its Newton step is inside the radius:
+    # one Cholesky decides, and the step is the eigen route's interior step
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    amat = q @ np.diag([0.5, 2.0, 7.0]) @ q.T
+    x_star = np.array([1.6, 1.5, 0.7])
+    quadratic_objective(monkeypatch, amat, x_star)
+    x0, step, result = first_step(1, "yu-like")
+    lam, vecs = np.linalg.eigh(amat)
+    want = _trust_region_step(lam, vecs, amat @ (x0 - x_star), 1.0)
+    assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
+    assert result.converged and result.iterations == 1
+    assert (result.evaluations, result.cholesky_steps, result.eigh_calls) == (2, 1, 0)
+
+
+def test_other_blocks_take_the_eigh_route(monkeypatch, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    # indefinite: no Cholesky factor exists
+    indefinite = q @ np.diag([-0.5, 1.0, 2.0]) @ q.T
+    quadratic_objective(monkeypatch, indefinite, np.full(3, 0.6))
+    _, _, result = first_step(1, "yu-like", max_iter=1)
+    assert (result.evaluations, result.cholesky_steps, result.eigh_calls) == (2, 0, 1)
+    # positive definite, but the Newton step is longer than the radius 1:
+    # the boundary step comes from eigh, the next one (radius 2) from Cholesky
+    amat = q @ np.diag([0.5, 2.0, 7.0]) @ q.T
+    x_star = np.array([0.2, 2.9, 0.7])
+    quadratic_objective(monkeypatch, amat, x_star)
+    _, step, result = first_step(1, "yu-like")
+    assert np.linalg.norm(step) == pytest.approx(1.0, rel=1e-9)
+    assert result.converged and result.iterations == 2
+    assert (result.evaluations, result.cholesky_steps, result.eigh_calls) == (3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "m, init, seed, iterations",
+    [
+        (0, "paper", None, 3),
+        (1, "yu-like", None, 6),
+        (30, "yu-like", None, 7),
+        (50, "paper", None, 5),
+        (40, "random", 0, 13),
+    ],
+)
+def test_iteration_counts_are_pinned(m, init, seed, iterations):
+    # the counts an eigendecomposition for every step gives: the Cholesky
+    # route moves only rounding, never an accept or reject decision
+    result = optimize(m, init, seed=seed)
+    assert (result.iterations, result.stop_reason) == (iterations, "converged")
+    assert result.evaluations == iterations + 1
+    assert result.cholesky_steps + result.eigh_calls <= iterations
 
 
 def grid_oracle_m0(resolution=100000):

@@ -94,6 +94,59 @@ def test_lower_order_jets_are_prefixes_of_the_full_jet():
     assert np.array_equal(kernel_ds(x), full[1])
 
 
+def full_array_sinc_jet(x, order):
+    """sinc_jet with its Taylor polynomials run over the whole array (0
+    beyond the widest cut) and merged in by np.where."""
+    x = np.asarray(x, dtype=float)
+    taylor = [np.abs(x) < cut for cut in _TAYLOR_CUTS[: order + 1]]
+    safe = np.where(taylor[0], 1.0, x)
+    s = np.sin(safe)
+    jet = [s / safe]
+    if order >= 1:
+        c = np.cos(safe)
+        jet.append((c - jet[0]) / safe)
+    if order >= 2:
+        far = np.abs(x) >= 1e100
+        t = np.where(far, 1.0, safe)
+        jet.append(((2.0 - t * t) * s - 2.0 * t * c) / (t * t * t))
+        if far.any():
+            stepwise = ((2.0 / safe - safe) * s - 2.0 * c) / safe / safe
+            jet[2] = np.where(far, stepwise, jet[2])
+    near = np.where(taylor[-1], x, 0.0)
+    u2 = near * near
+    for k in range(order + 1):
+        poly = np.full_like(u2, _TAYLOR[k][-1])
+        for a in _TAYLOR[k][-2::-1]:
+            poly *= u2
+            poly += a
+        if k % 2:
+            poly *= near
+        jet[k] = np.where(taylor[k], poly, jet[k])
+    return jet
+
+
+def test_sinc_jet_matches_full_array_taylor_bit_for_bit(rng):
+    edges = [0.0, -0.0, 1e-300, 1e100, -1e200, 5e307]
+    for cut in _TAYLOR_CUTS:
+        for v in (cut, -cut):
+            edges += [math.nextafter(v, 0.0), v, math.nextafter(v, math.copysign(1, v))]
+    theta = np.sort(rng.uniform(0.5, 200.0, 201))
+    arrays = [
+        np.array(edges),
+        rng.uniform(-1.0, 1.0, 2000),
+        rng.uniform(-50.0, 50.0, 2000),
+        2.0 * math.pi * (theta[:, None] - theta[None, :]),
+    ]
+    scalars = edges + [0.5, np.float64(3e-5), np.asarray(0.0), np.asarray(-7.25)]
+    for x in arrays + scalars:
+        for order in (0, 1, 2):
+            got, want = sinc_jet(x, order), full_array_sinc_jet(x, order)
+            assert len(got) == len(want) == order + 1
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and g.shape == w.shape, (x, order)
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (x, order)
+
+
 def test_jets_raise_no_floating_point_warning():
     xs = [0.0, 5e-324, 1e-300, 5.7e102, 1e160, 1.7e308] + list(_TAYLOR_CUTS) + [1e100]
     x = np.array(xs + [-v for v in xs])
