@@ -34,7 +34,6 @@ from .combinatorics import (
     sdft_inequality_scan,
 )
 from .errors import (
-    BracketError,
     BudgetError,
     DomainError,
     HypothesisError,
@@ -60,12 +59,11 @@ from .series import (
     integral_i2,
     summarize,
 )
-from .yu import LIMIT, YuParams, YuResult, lambda_refine, yu_evaluate, yu_series
+from .yu import LIMIT, YuParams, YuResult, yu_evaluate, yu_series
 
 __all__ = [
     "__version__",
     "BoundReport",
-    "BracketError",
     "BudgetError",
     "CosineSeries",
     "DomainError",
@@ -94,7 +92,6 @@ __all__ = [
     "integral_i1",
     "integral_i2",
     "is_b2g",
-    "lambda_refine",
     "max_size_bound",
     "optimize",
     "reference_min",

@@ -198,40 +198,6 @@ def _search_row(g, n, sizes, nodes, limit):
     return best, best_wit, nodes
 
 
-def _f_rows(g, n_max, budget=None):
-    """Lists of F(g, N) and witnesses for N = 0..n_max, and the nodes visited.
-
-    budget caps the nodes of the whole table; exceeding it raises
-    BudgetError with the largest set found so far, a B2[g] subset of
-    [0, n_max] whose size is a lower bound, explicitly not exact.
-    """
-    if g < 1:
-        raise ValidationError(f"g must be >= 1, got {g}")
-    if n_max < 0:
-        raise ValidationError(f"n must be >= 0, got {n_max}")
-    if budget is not None and budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget}")
-    limit = math.inf if budget is None else int(budget)
-    sizes, witnesses, nodes = [], [], 0
-    for n in range(n_max + 1):
-        try:
-            size, wit, nodes = _search_row(g, n, sizes, nodes, limit)
-        except _BudgetHit as hit:
-            size, wit, nodes = hit.args
-            if sizes and sizes[-1] > size:
-                size, wit = sizes[-1], witnesses[-1]
-            raise BudgetError(
-                f"node budget {budget} exhausted at F({g},{n_max}) >= {size}; "
-                f"best-so-far is a lower bound, NOT exact",
-                size=size,
-                witness=IntSet(elems=wit, n=n_max),
-                nodes=nodes,
-            ) from None
-        sizes.append(size)
-        witnesses.append(wit)
-    return sizes, witnesses, nodes
-
-
 def exhaustive_f(
     g: int,
     n: int,
@@ -254,17 +220,41 @@ def f_table(
 ):
     """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max.
 
-    One table search per g by sequential branch and bound (see _search_row);
-    budget caps the nodes of each g's table (BudgetError past it), and a
-    stats dict receives the total "nodes" visited.
+    One table search per g by sequential branch and bound (see _search_row).
+    budget caps the nodes of each g's table; exceeding it raises BudgetError
+    with the largest set found so far, a B2[g] subset of [0, n_max] whose
+    size is a lower bound, explicitly not exact.  A stats dict receives the
+    total "nodes" visited.
     """
-    rows, nodes = [], 0
+    limit = math.inf if budget is None else int(budget)
+    rows, total = [], 0
     for g in g_values:
-        sizes, witnesses, g_nodes = _f_rows(g, n_max, budget)
-        rows.extend((g, n, *row) for n, row in enumerate(zip(sizes, witnesses)))
-        nodes += g_nodes
+        if g < 1:
+            raise ValidationError(f"g must be >= 1, got {g}")
+        if n_max < 0:
+            raise ValidationError(f"n must be >= 0, got {n_max}")
+        if budget is not None and budget < 0:
+            raise ValidationError(f"budget must be >= 0, got {budget}")
+        sizes, nodes = [], 0
+        for n in range(n_max + 1):
+            try:
+                size, wit, nodes = _search_row(g, n, sizes, nodes, limit)
+            except _BudgetHit as hit:
+                size, wit, nodes = hit.args
+                if sizes and sizes[-1] > size:  # rows[-1] is this g's N - 1
+                    size, wit = sizes[-1], rows[-1][3]
+                raise BudgetError(
+                    f"node budget {budget} exhausted at F({g},{n_max}) >= {size}; "
+                    f"best-so-far is a lower bound, NOT exact",
+                    size=size,
+                    witness=IntSet(elems=wit, n=n_max),
+                    nodes=nodes,
+                ) from None
+            sizes.append(size)
+            rows.append((g, n, size, wit))
+        total += nodes
     if stats is not None:
-        stats["nodes"] = nodes
+        stats["nodes"] = total
     return rows
 
 

@@ -55,8 +55,3 @@ class ToleranceError(ToolkitError):
         super().__init__(message)
         self.achieved = achieved
 
-
-class BracketError(ToolkitError):
-    """One-dimensional refinement detected non-unimodal behavior inside the
-    bracket; rerun with a grid pre-scan to isolate a single minimum.
-    """

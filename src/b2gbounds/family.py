@@ -286,10 +286,12 @@ def _box(m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def projected_gradient_norm(x: np.ndarray, grad_min: np.ndarray, m: int) -> float:
-    """Infinity norm of x - proj_box(x - grad) for the minimization problem."""
-    lo, hi = _box(m)
-    step = np.clip(x - grad_min, lo, hi)
+def projected_gradient_norm(
+    x: np.ndarray, grad: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> float:
+    """Infinity norm of x - proj_[lo, hi](x + grad), grad the ascent gradient
+    of rho: zero exactly at a first-order point of its maximization."""
+    step = np.clip(x + grad, lo, hi)
     return float(np.max(np.abs(x - step)))
 
 
@@ -385,7 +387,7 @@ def optimize(
     x = np.clip(_pack(start), lo, hi)
     rho, grad, hess = rho_grad_hess(x, m)
     evaluations, cholesky_steps, eigh_calls = 1, 0, 0
-    pg_norm = projected_gradient_norm(x, -grad, m)
+    pg_norm = projected_gradient_norm(x, grad, lo, hi)
     delta = TR_RADIUS0
     free = None  # free variables at x; with newton and eig, kept across rejections
     iteration = 0
@@ -429,7 +431,7 @@ def optimize(
         predicted = float(grad @ step + 0.5 * step @ (hess @ step))
         rho_t, grad_t, hess_t = rho_grad_hess(trial, m)
         evaluations += 1
-        pg_t = projected_gradient_norm(trial, -grad_t, m)
+        pg_t = projected_gradient_norm(trial, grad_t, lo, hi)
         step_norm = float(np.linalg.norm(step))
         if predicted <= ROUNDING * abs(rho):
             accept = pg_t < pg_norm

@@ -28,17 +28,18 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize dict/list/str/int/float/bool/None with 17-digit floats."""
+def dumps(obj) -> str:
+    """Serialize dict/list/str/int/float/bool/None with 17-digit floats,
+    indented two spaces per level."""
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _emit(obj, out, level):
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -58,7 +59,7 @@ def _emit(obj, out, indent, level):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -68,13 +69,13 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:
         # numpy scalars and similar duck-typed numbers
         if hasattr(obj, "item"):
-            _emit(obj.item(), out, indent, level)
+            _emit(obj.item(), out, level)
         else:
             raise ValidationError(f"cannot serialize {type(obj).__name__}")
 

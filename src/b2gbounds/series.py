@@ -26,8 +26,9 @@ asymptotic constant c = 2(1 - rho) bounds B2[g] set sizes:
 CosineSeries stores the coefficients b and frequencies theta as two float
 arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
 together and holds their guards (the zero series, I2 or A-upper outside the
-double range).  constant_from is the one place that forms c and tests
-I1 < 0; the summary's constant and the yu family's closed forms both call it.
+double range).  constant_from forms c from (I1, I2) and tests I1 < 0; the
+summary's constant and the yu family's closed forms call it, while
+family.optimize forms its constant from its own rho.
 
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
@@ -193,7 +194,8 @@ class FunctionalSummary(namedtuple("FunctionalSummary", "i1 i2 rho w0 a_upper"))
 
 def constant_from(i1: float, i2: float) -> float | None:
     """c = 2 (1 - I1^2 / I2) when I1 < 0, the hypothesis of the asymptotic
-    bound; None otherwise.  The one place the constant is formed."""
+    bound; None otherwise.  family.optimize forms its constant from its own
+    rho, not through this function."""
     return 2.0 * (1.0 - i1 * i1 / i2) if i1 < 0 else None
 
 

@@ -3,8 +3,8 @@
     w(t) = sum_{m=0}^{M} cos(2 pi (m + lambda) t) / (m + lambda),
            1/2 < lambda < 1,
 
-its asymptotic constants, the closed-form M -> infinity limit with certified
-error, and a one-dimensional refinement search over lambda.
+its asymptotic constants, and the closed-form M -> infinity limit with
+certified error.
 
 Because consecutive frequencies differ by integers, the generic O(M^2)
 functional evaluation collapses to O(M):
@@ -39,7 +39,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .errors import BracketError, ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError
 from .series import CosineSeries, constant_from
 
 LIMIT = "limit"
@@ -60,8 +60,6 @@ _M0_START = 1000
 _M0_MAX = 2**23
 # block length of the prefix sums in yu_functionals
 _BLOCK = 2**16
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...: golden-section step
 
 # psi and psi' recur up to this argument before the asymptotic series is used
 _SERIES_FROM = 10.0
@@ -262,66 +260,3 @@ def yu_evaluate(
         stats["half_width"] = half_double
     return YuResult(params.lam, LIMIT, c_double, error)
 
-
-def lambda_refine(
-    interval: tuple[float, float],
-    tol_lambda: float = 1e-6,
-    tol_value: float = 1e-9,
-) -> tuple[float, float]:
-    """Locate a minimizer of the limit constant over lambda in [a, b].
-
-    Golden-section refinement down to a bracket of width tol_lambda; the
-    returned point is the best one evaluated (endpoints included, so a
-    boundary minimum is legal, not an error).  A uniform validation grid then
-    guards against non-unimodal behavior: if any grid point improves on the
-    refined value by more than max(tol_value, 1e-12) the bracket was invalid
-    and BracketError asks for a grid pre-scan.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not (0.5 < a <= b < 1.0):
-        raise ValidationError(
-            f"interval must satisfy 1/2 < a <= b < 1, got ({a!r}, {b!r})"
-        )
-    if tol_lambda <= 0 or tol_value <= 0:
-        raise ValidationError("tolerances must be positive")
-
-    inner_tol = max(min(tol_value / 100.0, 1e-8), 1e-12)
-    cache: dict[float, float] = {}
-
-    def f(lam: float) -> float:
-        if lam not in cache:
-            cache[lam] = yu_evaluate(YuParams(lam, LIMIT), inner_tol).constant
-        return cache[lam]
-
-    if a == b:
-        return a, f(a)
-
-    lo, hi = a, b
-    x1 = hi - INV_PHI * (hi - lo)
-    x2 = lo + INV_PHI * (hi - lo)
-    f(a), f(b)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol_lambda:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INV_PHI * (hi - lo)
-            f2 = f(x2)
-
-    best_lam = min(cache, key=cache.get)
-    best_val = cache[best_lam]
-
-    grid = np.linspace(a, b, 33)
-    slack = max(tol_value, 1e-12)
-    for lam in grid:
-        if f(float(lam)) < best_val - slack:
-            raise BracketError(
-                f"interval ({a}, {b}) is not unimodal: grid point {lam:.6f} "
-                f"beats the refined minimum; pre-scan with a finer grid and "
-                f"refine inside a single basin"
-            )
-    best_lam = min(cache, key=cache.get)
-    return best_lam, cache[best_lam]

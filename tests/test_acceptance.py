@@ -112,7 +112,7 @@ def test_criterion_3_m50_variant():
     # EXPECTED RED.  The M=50 regression target < 1.742 is not attainable:
     # eight independent starts (reference prefix, flat, six seeded random
     # restarts) all converge to 1.74211734335346 (the reference prefix to
-    # 1.7421173433534596 with projected-gradient norm 5.0e-16), so 1.742
+    # 1.7421173433534594 with projected-gradient norm 5.0e-16), so 1.742
     # lies outside this family at M=50.  The frozen
     # threshold is asserted as recorded.
     start = time.perf_counter()

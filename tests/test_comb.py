@@ -196,6 +196,21 @@ def test_budget_error_carries_lower_bound():
     assert exhaustive_f(2, 14, budget=stats["nodes"])[0] == exact
 
 
+@pytest.mark.parametrize("budget", [500, 490])
+def test_budget_runs_out_on_the_second_g(budget):
+    # the budget counts each g's table afresh; on g = 2 the best set so far
+    # must come from the g = 2 rows, not from the finished g = 1 table.  At
+    # 490 the budget runs out early in row N = 13, before that row matches
+    # F(2, 12) = 7, so the size and witness are row 12's
+    with pytest.raises(BudgetError) as info:
+        f_table([1, 2], 14, budget=budget)
+    err = info.value
+    assert "F(2,14) >= 7" in str(err)
+    assert err.nodes == budget + 1
+    assert err.witness == IntSet((0, 1, 2, 3, 5, 7, 11), 14)
+    assert is_b2g(err.witness, 2)
+
+
 def test_budget_large_enough_is_silent():
     size, _ = exhaustive_f(1, 8, budget=10**7)
     assert size == 4

@@ -1,25 +1,22 @@
-"""One-parameter family: O(M) collapse, certified limit, window refinement."""
+"""One-parameter family: O(M) collapse and certified limit."""
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from b2gbounds import (
-    BracketError,
     ToleranceError,
     ValidationError,
     YuParams,
     integral_i1,
     integral_i2,
-    lambda_refine,
     yu_evaluate,
     yu_series,
 )
-from b2gbounds import yu
+from b2gbounds import bounds
 from b2gbounds.yu import ROUND_SLACK, _BLOCK, _digamma, _trigamma, yu_functionals
 
 
@@ -193,52 +190,13 @@ def test_i1_negative_across_lambda_range():
         assert yu_evaluate(YuParams(lam, "limit"), tol=1e-8).constant > 1.0
 
 
-def test_refine_degenerate_interval():
-    lam, constant = lambda_refine((0.75, 0.75), tol_lambda=1e-6, tol_value=1e-9)
-    assert lam == 0.75
-    assert constant == pytest.approx(1.7424537454215443, abs=1e-9)
-
-
-def test_refine_rejects_two_basins(monkeypatch):
-    # golden section is drawn to the wide basin at 0.85; the validation grid
-    # (step 0.0125) finds the deep narrow one at 0.58 first at 0.5625
-    def two_basins(params, tol):
-        lam = params.lam
-        value = min(1000 * (lam - 0.58) ** 2 - 1, (lam - 0.85) ** 2)
-        return SimpleNamespace(constant=value)
-
-    monkeypatch.setattr(yu, "yu_evaluate", two_basins)
-    with pytest.raises(BracketError, match="not unimodal: grid point 0.562500"):
-        lambda_refine((0.55, 0.95))
-
-
-def test_refine_matches_dense_grid():
-    # oracle: brute-force argmin on a 1e-4 grid over the same window
-    lam_best, constant = lambda_refine((0.74, 0.76), tol_lambda=1e-6, tol_value=1e-9)
-    grid_best, grid_val = None, math.inf
-    steps = 200
-    for i in range(steps + 1):
-        lam = 0.74 + 0.02 * i / steps
-        value = yu_evaluate(YuParams(lam, "limit"), tol=1e-10).constant
-        if value < grid_val:
-            grid_best, grid_val = lam, value
-    assert abs(lam_best - grid_best) < 1e-4
-    assert constant <= grid_val + 1e-9
-
-
-def test_refine_wide_window_beats_published_threshold():
-    lam_best, constant = lambda_refine((0.70, 0.80), tol_lambda=1e-5, tol_value=1e-9)
-    assert abs(lam_best - 0.753) < 0.02
-    assert constant <= 1.74217 + 1e-4
-
-
-def test_refine_interval_validation():
-    with pytest.raises(ValidationError):
-        lambda_refine((0.76, 0.74))
-    with pytest.raises(ValidationError):
-        lambda_refine((0.4, 0.6))
-    with pytest.raises(ValidationError):
-        lambda_refine((0.6, 1.0))
+def test_limit_at_fixed_lambda_beats_reference_coefficient():
+    # lambda = 365/478 lies near the minimizer of the limit over lambda; its
+    # certified enclosure must lie wholly below the previously recorded
+    # coefficient 1.74217 that the paper improves on
+    result = yu_evaluate(YuParams(365 / 478, "limit"), 1e-12)
+    assert result.constant + result.error_bound < bounds.REFERENCE_COEFF_PER_2G1
+    assert abs(result.constant - 1.7407259237377182) <= 1e-12
 
 
 def test_result_serialization():
