@@ -21,13 +21,15 @@ before it: the elements >= x of a B2[g] set, shifted down by x, are a B2[g]
 set in [0, N - x].  Once a set of F(g, N - 1) elements is found, only a set
 that contains N can be larger, so a node whose set cannot take N is dropped.
 Ties are broken toward the lexicographically smallest maximal witness.
+
+The s_dft lemma scan walks the same bitmask state once for every N, with
+s_dft in integers (see sdft_inequality_scan).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import chain
 
 from ._numpy import np
 from .errors import BudgetError, ValidationError
@@ -226,15 +228,16 @@ def f_table(
     size is a lower bound, explicitly not exact.  A stats dict receives the
     total "nodes" visited.
     """
-    limit = math.inf if budget is None else int(budget)
-    rows, total = [], 0
     for g in g_values:
         if g < 1:
             raise ValidationError(f"g must be >= 1, got {g}")
-        if n_max < 0:
-            raise ValidationError(f"n must be >= 0, got {n_max}")
-        if budget is not None and budget < 0:
-            raise ValidationError(f"budget must be >= 0, got {budget}")
+    if n_max < 0:
+        raise ValidationError(f"n must be >= 0, got {n_max}")
+    if budget is not None and budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
+    limit = math.inf if budget is None else int(budget)
+    rows, total = [], 0
+    for g in g_values:
         sizes, nodes = [], 0
         for n in range(n_max + 1):
             try:
@@ -258,10 +261,6 @@ def f_table(
     return rows
 
 
-# sets per vectorized DFT in sdft_inequality_scan
-_SCAN_BATCH = 4096
-
-
 class ScanReport(namedtuple("ScanReport", "checked violations max_ratio")):
     """Outcome of an exhaustive inequality scan; max_ratio is the max over
     nonempty sets of s_dft / |A|^2."""
@@ -272,48 +271,43 @@ class ScanReport(namedtuple("ScanReport", "checked violations max_ratio")):
 def sdft_inequality_scan(g: int, n_max: int) -> ScanReport:
     """Check s_dft(A) <= (2g-1) |A|^2 for every B2[g] set, every N <= n_max.
 
-    The ambient N matters to s_dft, so each N in [1, n_max] gets its own full
-    enumeration.  Sets are checked in batches of a fixed _SCAN_BATCH sets
-    through one vectorized DFT per batch, so memory does not grow with the
-    number of sets; a small absolute slack (1e-9) absorbs rounding in the
-    comparison.
+    One walk over [0, n_max] with the state of enumerate_b2g, plus the
+    positive difference counts d and s = s_comb in integers: adding x adds
+    4 d(x - a) + 2 to s for each a in the set.  A set with largest element
+    m lies in [0, N] for every N from max(m, 1) to n_max, and there, by
+    s_dft = s_comb + 2 d(N)^2, its s_dft is s, or s + 2 at N = m when 0 is
+    in it.  So the check is exact, and the max ratio a fraction top / bottom
+    until the report.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    checked = 0
-    violations = 0
-    max_ratio = 0.0
-    for n in range(1, n_max + 1):
-        two_n = 2 * n
-        points = np.arange(-n, n) / two_n
-        basis = np.exp(2j * np.pi * np.outer(np.arange(n + 1), points))
-        sets = []
-        for elems in enumerate_b2g(g, n):
-            sets.append(elems)
-            if len(sets) >= _SCAN_BATCH:
-                checked, violations, max_ratio = _scan_batch(
-                    sets, g, basis, two_n, checked, violations, max_ratio
-                )
-                sets = []
-        if sets:
-            checked, violations, max_ratio = _scan_batch(
-                sets, g, basis, two_n, checked, violations, max_ratio
-            )
-    return ScanReport(checked=checked, violations=violations, max_ratio=max_ratio)
+    if g < 1:
+        raise ValidationError(f"g must be >= 1, got {g}")
+    d = [0] * (n_max + 1)
+    checked = violations = top = 0
+    bottom = 1
 
+    def dfs(elems, mask, layers, s):
+        nonlocal checked, violations, top, bottom
+        m = elems[-1] if elems else 0
+        count = n_max - max(m, 1) + 1
+        peak = s + 2 if m and elems[0] == 0 else s  # s_dft at N = m
+        size2 = len(elems) ** 2
+        rhs = (2 * g - 1) * size2
+        checked += count
+        violations += count if s > rhs else int(peak > rhs)
+        if size2 and peak * bottom > top * size2:
+            top, bottom = peak, size2
+        for x in range(m + 1 if elems else 0, n_max + 1):
+            grown = _extend(layers, mask, x)
+            if grown is not None:
+                step = 0
+                for a in elems:
+                    step += 4 * d[x - a] + 2
+                    d[x - a] += 1
+                dfs(elems + (x,), mask | 1 << x, grown, s + step)
+                for a in elems:
+                    d[x - a] -= 1
 
-def _scan_batch(sets, g, basis, two_n, checked, violations, max_ratio):
-    ind = np.zeros((len(sets), basis.shape[0]))
-    rows = np.repeat(np.arange(len(sets)), [len(elems) for elems in sets])
-    cols = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=rows.size)
-    ind[rows, cols] = 1.0
-    f_abs2 = np.abs(ind @ basis) ** 2
-    sizes = ind.sum(axis=1)
-    sdft = np.sum((f_abs2 - sizes[:, None]) ** 2, axis=1) / two_n
-    rhs = (2 * g - 1) * sizes**2
-    violations += int(np.sum(sdft > rhs + 1e-9))
-    nonempty = sizes > 0
-    if np.any(nonempty):
-        ratios = sdft[nonempty] / sizes[nonempty] ** 2
-        max_ratio = max(max_ratio, float(ratios.max()))
-    return checked + len(sets), violations, max_ratio
+    dfs((), 0, [0] * g, 0)
+    return ScanReport(checked=checked, violations=violations, max_ratio=top / bottom)

@@ -216,6 +216,9 @@ def test_budget_large_enough_is_silent():
     assert size == 4
     with pytest.raises(ValidationError):
         exhaustive_f(1, 8, budget=-1)
+    # validated before the loop over g, so an empty g list is checked too
+    with pytest.raises(ValidationError, match="n must be >= 0"):
+        f_table([], -1, budget=-5)
 
 
 def greedy_lower(g, n):
@@ -261,24 +264,54 @@ def test_inequality_scan_small():
     assert report.checked == expected
     with pytest.raises(ValidationError):
         sdft_inequality_scan(1, 0)  # would check no set at all
+    with pytest.raises(ValidationError):
+        sdft_inequality_scan(0, 8)
+
+
+def test_inequality_scan_matches_float_oracle():
+    # the report rebuilt set by set, from one enumeration per N and the
+    # float DFT s_dft, independently of the walk's integer counts
+    for g in (1, 2, 3):
+        checked = violations = 0
+        max_ratio = 0.0
+        for n in range(1, 9):
+            for elems in enumerate_b2g(g, n):
+                value = s_dft(IntSet(elems, n))
+                checked += 1
+                violations += value > (2 * g - 1) * len(elems) ** 2 + 1e-9
+                if elems:
+                    max_ratio = max(max_ratio, value / len(elems) ** 2)
+            report = sdft_inequality_scan(g, n)
+            assert report[:2] == (checked, violations), (g, n)
+            assert report.max_ratio == pytest.approx(max_ratio, abs=1e-12), (g, n)
+    # by hand: for g = 2 in [0, 3] the ratio peaks at A = {0, 1, 2, 3},
+    # N = 3, where d(1), d(2), d(3) = 3, 2, 1 give s_comb = 2 (9 + 4 + 1) =
+    # 28 and d(N) = 1 adds 2, so the walk's integer s_dft is 30 over 16
+    a = IntSet((0, 1, 2, 3), 3)
+    assert s_comb(a) + 2 * diff_profile(a)[3] ** 2 == 30
+    assert s_dft(a) == pytest.approx(30.0, abs=1e-9)
+    assert sdft_inequality_scan(2, 3) == ScanReport(28, 0, 30 / 16)
 
 
 def test_inequality_scan_frozen_reports():
-    # the reports of the verify suite's scans, frozen from the per-set
-    # indicator construction with 50000-set batches
+    # the reports of the verify suite's scans (N <= 14) and of acceptance
+    # criterion 6 (N <= 18), with max ratios exact to the last bit
     assert sdft_inequality_scan(1, 14) == ScanReport(4355, 0, 1.0)
-    assert sdft_inequality_scan(2, 14) == ScanReport(26565, 0, 2.285714285714285)
+    assert sdft_inequality_scan(2, 14) == ScanReport(26565, 0, 16 / 7)
+    assert sdft_inequality_scan(1, 18) == ScanReport(17669, 0, 1.0)
+    assert sdft_inequality_scan(2, 18) == ScanReport(202968, 0, 194 / 81)
 
 
 def test_inequality_scan_memory_is_one_batch():
-    # 50000-set batches peaked at about 9.3 MB
+    # the walk holds one root-to-leaf path of sets and counts, so there are
+    # no batches; it peaks at about 2 kB
     tracemalloc.start()
     try:
         sdft_inequality_scan(2, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 1e5
 
 
 subset_strategy = st.lists(
