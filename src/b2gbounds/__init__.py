@@ -9,7 +9,7 @@ discretization error at finite N.  summarize evaluates them together into
 one FunctionalSummary, which both bounds and the CLI read.
 
 Modules
-    series          series type, functional summary, Fourier data
+    series          series type, I1/I2 evaluator, summary, Fourier data
     bounds          finite-N size bound and asymptotic constant
     yu              one-parameter family with O(M) and limit evaluation
     family          box-constrained rho maximization over a 2M+1 family
@@ -55,8 +55,7 @@ from .series import (
     curvature_bound,
     eval_w,
     fourier_coefficients,
-    integral_i1,
-    integral_i2,
+    integral_jet,
     summarize,
 )
 from .yu import LIMIT, YuParams, YuResult, yu_evaluate, yu_series
@@ -89,8 +88,7 @@ __all__ = [
     "finite_majorant",
     "fourier_coefficients",
     "initial_params",
-    "integral_i1",
-    "integral_i2",
+    "integral_jet",
     "is_b2g",
     "max_size_bound",
     "optimize",

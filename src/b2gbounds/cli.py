@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
@@ -41,6 +42,7 @@ from .errors import (
     HypothesisError,
     InputError,
     ToleranceError,
+    check_addressable,
 )
 from .family import GRAD_TOL, MAX_ITER, optimize
 from .series import eval_w, summarize
@@ -194,18 +196,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_count(text: str, what: str) -> int:
-    """Integer flag value, allowing scientific forms like 1e6."""
+    """Integer flag value; scientific forms like 1e23 are read exactly."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        try:
-            as_float = float(text)
-            value = int(as_float)  # OverflowError for inf, ValueError for nan
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"{what} must be an integer, got {text!r}") from exc
-        if value != as_float:
-            raise InputError(f"{what} must be an integer, got {text!r}")
-    return value
+        from decimal import Decimal, InvalidOperation  # off the path of plain counts
+    try:
+        value = Decimal(text)  # exact, with an exponent like 1e-999999999 unexpanded
+        if value == value.to_integral_value() and math.isfinite(float(value)):
+            return int(value)
+    except InvalidOperation:
+        pass
+    raise InputError(f"{what} must be an integer, got {text!r}")
 
 
 def _emit(
@@ -257,6 +259,7 @@ def cmd_analyze(args) -> int:
         path = args.samples_out or (args.out + ".samples.csv" if args.out else None)
         if path is None:
             raise InputError("--emit-samples requires --samples-out or --out")
+        check_addressable(args.emit_samples + 1, f"--emit-samples {args.emit_samples}")
         grid = np.arange(args.emit_samples + 1) / args.emit_samples
         values = eval_w(series, grid)
         buf = io.StringIO()

@@ -32,7 +32,7 @@ import math
 from collections import Counter, namedtuple
 
 from ._numpy import np
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_addressable
 from .series import CosineSeries, eval_w
 
 
@@ -136,11 +136,11 @@ def d_identity_residual(a: IntSet, series: CosineSeries) -> float:
 
 
 def enumerate_b2g(g: int, n: int):
-    """Yield every B2[g] subset of [0, n] as a tuple (the empty one included).
+    """Every B2[g] subset of [0, n] as a tuple (the empty one included).
 
-    DFS over increasing elements; the B2[g] family is subset-closed, so
-    violation pruning enumerates each member exactly once.
-    """
+    g and n are checked at the call.  The returned generator's DFS over
+    increasing elements prunes at violations, which yields each member
+    once, since the B2[g] family is subset-closed."""
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
     if n < 0:
@@ -153,7 +153,7 @@ def enumerate_b2g(g: int, n: int):
             if grown is not None:
                 yield from dfs(x + 1, elems + (x,), mask | 1 << x, grown)
 
-    yield from dfs(0, (), 0, [0] * g)
+    return dfs(0, (), 0, [0] * g)
 
 
 class _BudgetHit(Exception):
@@ -231,6 +231,7 @@ def f_table(
     for g in g_values:
         if g < 1:
             raise ValidationError(f"g must be >= 1, got {g}")
+        check_addressable(g, f"g = {g}")
     if n_max < 0:
         raise ValidationError(f"n must be >= 0, got {n_max}")
     if budget is not None and budget < 0:

@@ -5,6 +5,15 @@ input/validation problems exit 2, violated mathematical hypotheses exit 3,
 exhausted budgets/tolerances exit 4, failed verification suites exit 5.
 """
 
+import sys
+
+
+def check_addressable(words: int, what: str) -> None:
+    """MemoryError when words 8-byte values are past the address space, where
+    numpy arrays and Python sequences raise ValueError or OverflowError."""
+    if words > sys.maxsize // 8:
+        raise MemoryError(f"{what} is past the address space")
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""

@@ -9,25 +9,10 @@ coefficient 1 (j = 0) or c_j/j, and frequency (y_j + (2j+1) pi)/(2 pi), so all
 coefficients are positive and the series is admissible by construction.
 
 The objective is rho = I1^2 / I2 (to be maximized; the asymptotic constant is
-2(1 - rho)).  Both I1 and I2 are closed forms in the kernel S, so the gradient
-and the Hessian are analytic:
-
-    dI1/dtheta_i = b_i S'(theta_i)          dI1/db_i = S(theta_i)
-    dI2/dtheta_i = b_i ((S'(D) + S'(P)) b)_i
-    dI2/db_i     = ((S(D) + S(P)) b)_i
-    drho = (2 I1 I2 dI1 - I1^2 dI2) / I2^2
-
-and the Hessian blocks are
-
-    I1:  d2/dtheta_i^2 = b_i S''(theta_i),  d2/dtheta_i db_i = S'(theta_i)
-    I2:  d2/dtheta dtheta = diag(b (S''(D) + S''(P)) b)
-                            + b b^T * (S''(P) - S''(D))
-         d2/dtheta db     = diag((S'(D) + S'(P)) b) + diag(b) (S'(D) + S'(P))
-         d2/db db         = S(D) + S(P)
-
-(the elementwise b b^T * (S''(P) - S''(D)) term carries the diagonal
-b_i^2 S''(2 theta_i) - b_i^2 S''(0)), all chained through
-theta_j = (y_j + (2j+1) pi)/(2 pi) and b_j = c_j / j.
+2(1 - rho)).  series.integral_jet gives I1, I2 and their derivatives in the
+series coordinates (theta, b); the quotient rule
+drho = (2 I1 I2 dI1 - I1^2 dI2) / I2^2 combines them, chained through
+theta_j = (y_j + (2j+1) pi)/(2 pi) and b_j = c_j / j (b_0 = 1 is fixed).
 
 Optimization is projected trust-region Newton on the closed box
 [eps, pi - eps] x [eps, 1 - eps] (eps = 1e-9): variables held at a face by
@@ -51,8 +36,8 @@ import sys
 from collections import namedtuple
 
 from ._numpy import np
-from .errors import ValidationError
-from .series import CosineSeries, kernel_jet
+from .errors import ValidationError, check_addressable
+from .series import CosineSeries, integral_jet
 
 BOX_EPS = 1e-9
 EPS = sys.float_info.epsilon
@@ -173,29 +158,13 @@ def _unpack(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
-    """rho and its derivatives up to order (1 or 2) wrt [y_0..y_M, c_1..c_M].
-
-    One kernel_jet call each on theta, D and P supplies S, S' and S''; the
-    derivatives are formed in the series coordinates (theta, b), combined
-    by the quotient rule for rho = I1^2 / I2 and chained linearly into (y, c).
-    """
-    y, c = _unpack(np.asarray(x, dtype=float), m)
-    b, th = _series_arrays(y, c)
-    s_th = kernel_jet(th, order)
-    s_d = kernel_jet(th[:, None] - th[None, :], order)
-    s_p = kernel_jet(th[:, None] + th[None, :], order)
-    # only the sums and S''(P) - S''(D) stay alive; the I2 Hessian forms in them
-    s_sum = [d + p for d, p in zip(s_d, s_p)]
-    sdd_gap = s_p[2] - s_d[2] if order == 2 else None
-    del s_d, s_p
-    i1 = float(b @ s_th[0])
-    ab = s_sum[0] @ b
-    i2 = 0.5 * float(b @ ab)
-    dab = s_sum[1] @ b
+    """rho and its derivatives up to order (1 or 2) wrt [y_0..y_M, c_1..c_M]:
+    integral_jet's, by the quotient rule for I1^2 / I2, chained into (y, c)."""
+    b, th = _series_arrays(*_unpack(np.asarray(x, dtype=float), m))
+    jet = integral_jet(b, th, order)
+    i1, i2 = jet[0]
     n = m + 1
-    # [dI1/dtheta, dI1/db] and [dI2/dtheta, dI2/db]; b_0 = 1 is not a parameter
-    g1 = np.delete(np.concatenate([b * s_th[1], s_th[0]]), n)
-    g2 = np.delete(np.concatenate([b * dab, ab]), n)
+    g1, g2 = (np.delete(g, n) for g in jet[1])  # b_0 = 1 is not a parameter
     rho = i1 * i1 / i2
     # d(y, c)/d(theta, b_1..b_M): theta_j = (y_j + (2j+1) pi)/(2 pi), b_j = c_j/j
     d = np.concatenate([np.full(n, 2.0 * math.pi), np.arange(1.0, n)])
@@ -205,7 +174,8 @@ def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
 
     # The quotient rule ((((A - B) + C) + D) - E) / d_i / d_j, accumulated in
     # place: A, B, C from outer products of g1 and g2, D the I1 Hessian on its
-    # three nonzero diagonals, E the I2 Hessian formed in its kernel blocks.
+    # three nonzero diagonals, E the I2 Hessian blocks.
+    h1_tt, h1_tb, h2_tt, h2_tb, h2_bb = jet[2]
     hess = np.outer(g1, g1)
     hess *= 2.0 / i2
     tmp = np.outer(g1, g2)
@@ -216,20 +186,16 @@ def _rho_derivatives(x: np.ndarray, m: int, order: int) -> tuple:
     tmp *= 2.0 * i1 * i1 / (i2 * i2 * i2)
     hess += tmp
     idx, jdx = np.arange(n), np.arange(1, n)
-    hess[idx, idx] += (2.0 * i1 / i2) * (b * s_th[2])
-    theta_b = (2.0 * i1 / i2) * s_th[1][1:]
+    hess[idx, idx] += (2.0 * i1 / i2) * h1_tt
+    theta_b = (2.0 * i1 / i2) * h1_tb[1:]
     hess[jdx, m + jdx] += theta_b
     hess[m + jdx, jdx] += theta_b
-    sdd_gap *= np.outer(b, b)
-    sdd_gap[idx, idx] += b * (s_sum[2] @ b)
-    s_sum[1] *= b[:, None]
-    s_sum[1][idx, idx] += dab
-    for block in (sdd_gap, s_sum[1], s_sum[0]):
+    for block in (h2_tt, h2_tb, h2_bb):
         block *= i1 * i1 / (i2 * i2)
-    hess[:n, :n] -= sdd_gap
-    hess[:n, n:] -= s_sum[1][:, 1:]
-    hess[n:, :n] -= s_sum[1][:, 1:].T
-    hess[n:, n:] -= s_sum[0][1:, 1:]
+    hess[:n, :n] -= h2_tt
+    hess[:n, n:] -= h2_tb[:, 1:]
+    hess[n:, :n] -= h2_tb[:, 1:].T
+    hess[n:, n:] -= h2_bb[1:, 1:]
     hess /= d[:, None]
     hess /= d[None, :]
     return rho, grad, hess
@@ -253,6 +219,8 @@ def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:
     flat profile beyond.  "random": uniform interior draw from the given
     seed.  A FamilyParams instance passes through (order must match m).
     """
+    if m < 0:
+        raise ValidationError(f"family order must be >= 0, got {m}")
     if isinstance(init, FamilyParams):
         if init.m != m:
             raise ValidationError(f"init has order {init.m}, expected {m}")
@@ -260,13 +228,9 @@ def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:
     if init == "yu-like":
         return FamilyParams(y=(FLAT_Y,) * (m + 1), c=(FLAT_C,) * m)
     if init == "paper":
-        y = [FLAT_Y] * (m + 1)
-        c = [FLAT_C] * m
-        for j in range(min(m + 1, len(REF_Y))):
-            y[j] = REF_Y[j]
-        for j in range(min(m, len(REF_C))):
-            c[j] = REF_C[j]
-        return FamilyParams(y=tuple(y), c=tuple(c))
+        y = REF_Y[: m + 1] + (FLAT_Y,) * (m + 1 - len(REF_Y))
+        c = REF_C[:m] + (FLAT_C,) * (m - len(REF_C))
+        return FamilyParams(y=y, c=c)
     if init == "random":
         if seed is not None and seed < 0:
             raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -280,9 +244,7 @@ def initial_params(m: int, init: FamilyParams | str, seed=None) -> FamilyParams:
 
 def _box(m: int) -> tuple[np.ndarray, np.ndarray]:
     lo = np.full(2 * m + 1, BOX_EPS)
-    hi = np.concatenate(
-        [np.full(m + 1, math.pi - BOX_EPS), np.full(m, 1.0 - BOX_EPS)]
-    )
+    hi = np.concatenate([np.full(m + 1, math.pi - BOX_EPS), np.full(m, 1.0 - BOX_EPS)])
     return lo, hi
 
 
@@ -375,12 +337,11 @@ def optimize(
     reports converged=False, and passing its params as init continues the
     run.
     """
-    if m < 0:
-        raise ValidationError(f"family order must be >= 0, got {m}")
     if max_iter < 0:
         raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     if not grad_tol >= 0:
         raise ValidationError(f"grad_tol must be >= 0, got {grad_tol}")
+    check_addressable((2 * m + 1) ** 2, f"the Hessian of family order {m}")
     start = initial_params(m, init, seed)
 
     lo, hi = _box(m)

@@ -24,11 +24,11 @@ asymptotic constant c = 2(1 - rho) bounds B2[g] set sizes:
 |A| <~ sqrt(c (2g-1) N) for A contained in [0, N].
 
 CosineSeries stores the coefficients b and frequencies theta as two float
-arrays.  summarize evaluates the functionals (I1, I2, rho, w(0), A-upper)
-together and holds their guards (the zero series, I2 or A-upper outside the
-double range).  constant_from forms c from (I1, I2) and tests I1 < 0; the
-summary's constant and the yu family's closed forms call it, while
-family.optimize forms its constant from its own rho.
+arrays.  integral_jet, the one evaluator of I1, I2 and their derivatives,
+serves summarize and the family optimizer.  summarize bundles (I1, I2, rho,
+w(0), A-upper) with their guards (the zero series, I2 or A-upper outside the
+double range).  constant_from forms c from (I1, I2) and tests I1 < 0 for the
+summary's constant and the yu family; family.optimize uses its own rho.
 
 All arithmetic is 64-bit floating point; the closed forms target >= 12
 significant digits (verified against adaptive quadrature in the test suite).
@@ -194,8 +194,8 @@ class FunctionalSummary(namedtuple("FunctionalSummary", "i1 i2 rho w0 a_upper"))
 
 def constant_from(i1: float, i2: float) -> float | None:
     """c = 2 (1 - I1^2 / I2) when I1 < 0, the hypothesis of the asymptotic
-    bound; None otherwise.  family.optimize forms its constant from its own
-    rho, not through this function."""
+    bound; None otherwise.  family.optimize forms 2 (1 - rho) from the same
+    integral_jet values, not through this function."""
     return 2.0 * (1.0 - i1 * i1 / i2) if i1 < 0 else None
 
 
@@ -208,18 +208,45 @@ def eval_w(series: CosineSeries, t) -> float | np.ndarray:
     return vals
 
 
-def integral_i1(series: CosineSeries) -> float:
-    """I1 = integral_0^1 w = sum b_theta S(theta), no quadrature involved."""
-    return float(series.coeffs @ kernel_s(series.freqs))
+def integral_jet(b: np.ndarray, theta: np.ndarray, order: int) -> list:
+    """[(I1, I2), (g1, g2), (h1_tt, h1_tb, h2_tt, h2_tb, h2_bb)][:order + 1]
+    for coefficients b and frequencies theta (D and P as above).  In the
+    coordinates (theta, b), g1 and g2 are the gradients of I1 and I2, h1_tt
+    and h1_tb the I1 Hessian's diagonals d2/dtheta_i^2 and d2/dtheta_i db_i,
+    and h2_* the I2 Hessian's blocks, formed in place in the results of one
+    kernel_jet call each on theta, D and P:
 
+        g1 = [b S'(theta), S(theta)]
+        g2 = [b ((S'(D) + S'(P)) b), (S(D) + S(P)) b]
+        h1_tt = b S''(theta)                 h1_tb = S'(theta)
+        h2_tt = diag(b (S''(D) + S''(P)) b) + b b^T * (S''(P) - S''(D))
+        h2_tb = diag((S'(D) + S'(P)) b) + diag(b) (S'(D) + S'(P))
+        h2_bb = S(D) + S(P)
 
-def integral_i2(series: CosineSeries) -> float:
-    """I2 = integral_0^1 w^2 via the product-to-sum closed form, O(K^2)."""
-    th = series.freqs
-    b = series.coeffs
-    diff = th[:, None] - th[None, :]
-    summ = th[:, None] + th[None, :]
-    return float(0.5 * (b @ ((kernel_s(diff) + kernel_s(summ)) @ b)))
+    The elementwise b b^T * (S''(P) - S''(D)) term carries the diagonal
+    b_i^2 S''(2 theta_i) - b_i^2 S''(0).
+    """
+    s_th = kernel_jet(theta, order)
+    s_d = kernel_jet(theta[:, None] - theta[None, :], order)
+    s_p = kernel_jet(theta[:, None] + theta[None, :], order)
+    # only the sums and S''(P) - S''(D) stay alive; the I2 Hessian forms in them
+    s_sum = [d + p for d, p in zip(s_d, s_p)]
+    sdd_gap = s_p[2] - s_d[2] if order == 2 else None
+    del s_d, s_p
+    ab = s_sum[0] @ b
+    jet = [(float(b @ s_th[0]), 0.5 * float(b @ ab))]
+    if order >= 1:
+        dab = s_sum[1] @ b
+        g1 = np.concatenate([b * s_th[1], s_th[0]])
+        jet.append((g1, np.concatenate([b * dab, ab])))
+    if order >= 2:
+        idx = np.arange(len(b))
+        sdd_gap *= np.outer(b, b)
+        sdd_gap[idx, idx] += b * (s_sum[2] @ b)
+        s_sum[1] *= b[:, None]
+        s_sum[1][idx, idx] += dab
+        jet.append((b * s_th[2], s_th[1], sdd_gap, s_sum[1], s_sum[0]))
+    return jet
 
 
 def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
@@ -252,7 +279,7 @@ def curvature_bound(series: CosineSeries) -> float:
 def summarize(series: CosineSeries) -> FunctionalSummary:
     """Bundle (I1, I2, rho, w(0), A-upper) for the bound evaluators.
 
-    The one place I1 and I2 are combined into rho, so it holds the guards:
+    I1 and I2 are integral_jet's at order 0.  It holds the guards of rho:
     the zero series has no rho, a non-finite A-upper (a frequency too large
     to square, or past the kernels' domain, where I2 is NaN too) no finite-N
     bound, and an I2 that is not a positive finite double (coefficients too
@@ -262,8 +289,7 @@ def summarize(series: CosineSeries) -> FunctionalSummary:
         raise DomainError("rho is undefined for the identically zero series")
     # overflows, and the NaN they turn into, are reported just below
     with np.errstate(over="ignore", invalid="ignore"):
-        i1 = integral_i1(series)
-        i2 = integral_i2(series)
+        i1, i2 = integral_jet(series.coeffs, series.freqs, 0)[0]
         a_upper = curvature_bound(series)
     if not math.isfinite(a_upper):
         raise DomainError(

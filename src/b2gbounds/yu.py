@@ -39,7 +39,7 @@ import math
 from collections import namedtuple
 
 from ._numpy import np
-from .errors import ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError, check_addressable
 from .series import CosineSeries, constant_from
 
 LIMIT = "limit"
@@ -157,6 +157,7 @@ def yu_functionals(lam: float, m: int) -> tuple[float, float]:
         raise ValidationError(f"lambda must lie in (1/2, 1), got {lam!r}")
     if m < 0:
         raise ValidationError(f"truncation must be >= 0, got {m}")
+    check_addressable(m + 1, f"truncation {m}")
     inv = 1.0 / (np.arange(m + 1, dtype=float) + lam)
     sum_inv2 = float(inv @ inv)
     i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * sum_inv2

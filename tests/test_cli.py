@@ -71,6 +71,8 @@ def test_cli_import_leaves_out_scipy():
     # modules in sys.modules once `import b2gbounds.cli` returns.  The
     # records are namedtuples, so neither dataclasses nor the inspect it
     # loads is imported; pytest imports both, hence the fresh interpreter.
+    # decimal (or fractions, which imports it) loads only for a count that
+    # int() cannot read, so neither the import nor the search loads it.
     modules = sorted({"b2gbounds." + name.partition(".")[0] for name in TRACED})
     code = f"""
 import contextlib, io, json, sys
@@ -78,10 +80,12 @@ import b2gbounds.cli
 report = {{"untraceable": [m for m in {modules!r} if m not in sys.modules],
           "numpy_on_import": "numpy._core" in sys.modules,
           "dataclasses": "dataclasses" in sys.modules,
-          "inspect": "inspect" in sys.modules}}
+          "inspect": "inspect" in sys.modules,
+          "exact_counts": sorted({{"fractions", "decimal"}} & set(sys.modules))}}
 with contextlib.redirect_stdout(io.StringIO()):
     report["search_exit"] = b2gbounds.cli.main(["search", "--g", "1", "--n", "5"])
 report["numpy_after_search"] = "numpy._core" in sys.modules
+report["exact_counts_after_search"] = sorted({{"fractions", "decimal"}} & set(sys.modules))
 report["scipy"] = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
                          or m.startswith(("numpy.testing", "numpy.f2py")))
 print(json.dumps(report))
@@ -95,8 +99,10 @@ print(json.dumps(report))
         "numpy_on_import": False,
         "dataclasses": False,
         "inspect": False,
+        "exact_counts": [],
         "search_exit": 0,
         "numpy_after_search": False,
+        "exact_counts_after_search": [],
         "scipy": [],
     }
 
@@ -239,8 +245,11 @@ def test_bound_command(series_file):
     obj = json.loads(proc.stdout)
     assert obj["max_size"] == 75
     assert obj["reference_min"] == pytest.approx(min(2 * 3.1694, 3 * 1.74217))
-    # scientific count notation accepted
+    # scientific count notation accepted, and read exactly, not through a float
     assert run_cli("bound", series_file, "--n", "1e4", "--g", "1").returncode == 0
+    proc = run_cli("bound", series_file, "--n", "1e23", "--g", "1")
+    assert proc.returncode == 0
+    assert '"n": 100000000000000000000000,' in proc.stdout
 
 
 def test_bound_manifest_stats(series_file, tmp_path):
@@ -266,8 +275,8 @@ def test_bound_n_beyond_exact_sizes_exits_2(series_file):
     assert json.loads(proc.stdout)["max_size"] > 0
     proc = run_cli("bound", series_file, "--n", "1e32", "--g", "2")
     assert proc.returncode == 2 and "2**53" in proc.stderr
-    # counts that are not finite numbers are input errors too
-    for text in ("1e400", "nan"):
+    # counts that are not finite integers are input errors too
+    for text in ("1e400", "nan", "inf", "1.5", "1e999999999", "1e-999999999"):
         assert run_cli("bound", series_file, "--n", text, "--g", "2").returncode == 2
 
 
@@ -305,12 +314,25 @@ def test_yu_command_finite_and_flag_exclusion():
     assert run_cli("yu", "--lambda", "1.2", "--limit").returncode == 2
 
 
-def test_out_of_memory_exits_4():
-    # numpy refuses the 7 PiB array of a 1e15-term sum before allocating it
-    proc = run_cli("yu", "--lambda", "0.75", "--m", "1e15")
-    assert proc.returncode == 4 and proc.stdout == ""
-    assert proc.stderr.startswith("budget exhausted: out of memory: ")
-    assert "Traceback" not in proc.stderr
+def test_out_of_memory_exits_4(series_file, tmp_path):
+    samples = str(tmp_path / "samples.csv")
+    cases = [
+        # numpy refuses the 7 PiB array of a 1e15-term sum before allocating it
+        ("yu", "--lambda", "0.75", "--m", "1e15"),
+        # past the address space numpy raises ValueError and Python sequences
+        # OverflowError; these are refused as out of memory before either
+        ("yu", "--lambda", "0.75", "--m", "1e20"),
+        ("optimize", "--m", "100000000000000000000"),
+        ("analyze", series_file, "--emit-samples", "100000000000000000000",
+         "--samples-out", samples),
+        ("search", "--g", "100000000000000000000", "--n", "3"),
+    ]
+    for argv in cases:
+        proc = run_cli(*argv)
+        assert proc.returncode == 4 and proc.stdout == "", argv
+        assert proc.stderr.startswith("budget exhausted: out of memory: "), argv
+        assert "Traceback" not in proc.stderr
+    assert not os.path.exists(samples)
 
 
 def test_out_files_follow_umask(tmp_path):

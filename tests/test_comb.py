@@ -108,6 +108,17 @@ def test_enumeration_matches_powerset():
             assert got == expected, (g, n)
 
 
+def test_enumeration_validates_at_the_call():
+    # the checks run when enumerate_b2g is called, not on the first next()
+    with pytest.raises(ValidationError, match="g must be >= 1"):
+        enumerate_b2g(0, 5)
+    with pytest.raises(ValidationError, match="n must be >= 0"):
+        enumerate_b2g(1, -1)
+    sets = enumerate_b2g(1, 2)
+    assert next(sets) == ()
+    assert list(sets) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+
+
 def test_exhaustive_small_cases():
     assert exhaustive_f(1, 7) == (4, IntSet((0, 1, 3, 7), 7))
     size, wit = exhaustive_f(1, 3)

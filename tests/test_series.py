@@ -21,8 +21,7 @@ from b2gbounds import (
     curvature_bound,
     eval_w,
     fourier_coefficients,
-    integral_i1,
-    integral_i2,
+    integral_jet,
     summarize,
 )
 from b2gbounds.series import (
@@ -37,6 +36,11 @@ from b2gbounds.series import (
 )
 
 from b2gbounds.checks import coefficient_decay
+
+
+def integrals(series):
+    """(I1, I2) from integral_jet, without summarize's guards."""
+    return integral_jet(series.coeffs, series.freqs, 0)[0]
 
 from conftest import make_series, quad_integral
 
@@ -218,10 +222,10 @@ def test_eval_w_is_even_and_w0_is_mass():
 
 def test_single_term_closed_forms():
     series = CosineSeries([(1.0, 0.75)])
-    # I1 = S(3/4) = -2/(3 pi); I2 = (1 + S(3/2)) / 2 = 1/2
-    assert integral_i1(series) == pytest.approx(-2 / (3 * math.pi), rel=1e-15)
-    assert integral_i2(series) == pytest.approx(0.5, rel=1e-15)
     summary = summarize(series)
+    # I1 = S(3/4) = -2/(3 pi); I2 = (1 + S(3/2)) / 2 = 1/2
+    assert summary.i1 == pytest.approx(-2 / (3 * math.pi), rel=1e-15)
+    assert summary.i2 == pytest.approx(0.5, rel=1e-15)
     assert summary.rho == pytest.approx(8 / (9 * math.pi**2), rel=1e-14)
     assert summary.constant == pytest.approx(
         2 * (1 - 8 / (9 * math.pi**2)), rel=1e-14
@@ -229,10 +233,10 @@ def test_single_term_closed_forms():
 
 
 def test_constant_series_moments():
-    series = CosineSeries([(0.8, 0.0)])
-    assert integral_i1(series) == pytest.approx(0.8, rel=1e-15)
-    assert integral_i2(series) == pytest.approx(0.64, rel=1e-15)
-    assert summarize(series).rho == pytest.approx(1.0, rel=1e-14)
+    summary = summarize(CosineSeries([(0.8, 0.0)]))
+    assert summary.i1 == pytest.approx(0.8, rel=1e-15)
+    assert summary.i2 == pytest.approx(0.64, rel=1e-15)
+    assert summary.rho == pytest.approx(1.0, rel=1e-14)
 
 
 def test_integrals_match_quadrature(rng):
@@ -242,8 +246,9 @@ def test_integrals_match_quadrature(rng):
         i2_oracle, e2 = quad_integral(lambda t: eval_w(series, t) ** 2)
         scale1 = 1.0 + abs(i1_oracle)
         scale2 = 1.0 + abs(i2_oracle)
-        assert abs(integral_i1(series) - i1_oracle) < 1e-9 * scale1 + 10 * e1
-        assert abs(integral_i2(series) - i2_oracle) < 1e-9 * scale2 + 10 * e2
+        i1, i2 = integrals(series)
+        assert abs(i1 - i1_oracle) < 1e-9 * scale1 + 10 * e1
+        assert abs(i2 - i2_oracle) < 1e-9 * scale2 + 10 * e2
 
 
 def test_rho_on_zero_series_is_domain_error():
@@ -292,7 +297,7 @@ def test_fourier_a0_is_twice_i1(rng):
     for _ in range(20):
         series = make_series(rng)
         assert fourier_coefficients(series, 0)[0] == pytest.approx(
-            2.0 * integral_i1(series), rel=1e-12, abs=1e-12
+            2.0 * integrals(series)[0], rel=1e-12, abs=1e-12
         )
 
 
@@ -329,25 +334,57 @@ def test_coefficient_decay_bound_holds(rng):
 def test_parseval_with_certified_tail(rng):
     for _ in range(10):
         series = make_series(rng, k_max=6, fmax=8.0, bmax=1.0)
-        i1 = integral_i1(series)
-        i2 = integral_i2(series)
-        a_upper = summarize(series).a_upper
+        s = summarize(series)
         m_star = 20000
         coeffs = fourier_coefficients(series, m_star)
-        tail = parseval_tail_bound(a_upper, m_star)
+        tail = parseval_tail_bound(s.a_upper, m_star)
         lhs = float(np.sum(coeffs[1:] ** 2))
-        assert abs(lhs - 2.0 * (i2 - i1 * i1)) <= 1e-8 + tail
+        assert abs(lhs - 2.0 * (s.i2 - s.i1 * s.i1)) <= 1e-8 + tail
 
 
 def test_tail_bounds_shrink():
     assert parseval_tail_bound(10.0, 2000) < parseval_tail_bound(10.0, 1000)
 
 
+def test_integral_jet_derivatives_match_central_differences(rng):
+    # in the coordinates z = (theta, b): the gradients against differences of
+    # (I1, I2), the Hessians assembled from their blocks against differences
+    # of the gradients; lower orders are prefixes of the order-2 jet, bit for bit
+    h = 1e-6
+    for _ in range(5):
+        series = make_series(rng, k_max=6, fmax=3.0)
+        th, b = series.freqs, series.coeffs
+        k, idx = len(b), np.arange(len(b))
+        jet = integral_jet(b, th, 2)
+        assert integral_jet(b, th, 0)[0] == jet[0]
+        grads = integral_jet(b, th, 1)[1]
+        assert all(np.array_equal(u, v) for u, v in zip(grads, jet[1]))
+        h1_tt, h1_tb, h2_tt, h2_tb, h2_bb = jet[2]
+        hess1 = np.zeros((2 * k, 2 * k))
+        hess1[idx, idx] = h1_tt
+        hess1[idx, k + idx] = hess1[k + idx, idx] = h1_tb
+        hess2 = np.block([[h2_tt, h2_tb], [h2_tb.T, h2_bb]])
+        z = np.concatenate([th, b])
+        for i in range(2 * k):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += h
+            zm[i] -= h
+            (ip, gp), (im, gm) = (integral_jet(w[k:], w[:k], 1) for w in (zp, zm))
+            for n in range(2):
+                scale = 1.0 + float(np.max(np.abs(jet[1][n])))
+                fd = (ip[n] - im[n]) / (2 * h)
+                assert abs(fd - jet[1][n][i]) <= 1e-7 * scale
+                column = (gp[n] - gm[n]) / (2 * h)
+                hess = (hess1, hess2)[n]
+                scale = 1.0 + float(np.max(np.abs(hess)))
+                assert np.max(np.abs(column - hess[:, i])) <= 1e-6 * scale
+
+
 def test_summarize_consistency(rng):
     series = make_series(rng)
     s = summarize(series)
-    assert s.i1 == integral_i1(series)
-    assert s.i2 == integral_i2(series)
+    # the values the optimizer's order-2 jet starts from, bit for bit
+    assert (s.i1, s.i2) == integral_jet(series.coeffs, series.freqs, 2)[0]
     assert s.rho == s.i1 * s.i1 / s.i2
     assert s.w0 == eval_w(series, 0.0)
     assert s.a_upper == curvature_bound(series)
@@ -368,7 +405,7 @@ terms_strategy = st.lists(st.tuples(finite_coeff, finite_freq), min_size=1, max_
 @given(terms=terms_strategy, scale=st.floats(min_value=1e-3, max_value=1e3))
 def test_rho_is_scale_invariant(terms, scale):
     series = CosineSeries(terms)
-    if series.is_zero() or integral_i2(series) < 1e-200:  # avoid underflow
+    if series.is_zero() or integrals(series)[1] < 1e-200:  # avoid underflow
         return
     scaled = CosineSeries(zip(series.coeffs * scale, series.freqs))
     assert summarize(scaled).rho == pytest.approx(summarize(series).rho, rel=1e-9)
@@ -379,11 +416,8 @@ def test_rho_is_scale_invariant(terms, scale):
 def test_functionals_are_order_independent(terms):
     series = CosineSeries(terms)
     reversed_series = CosineSeries(terms[::-1])
-    assert integral_i1(reversed_series) == pytest.approx(
-        integral_i1(series), rel=1e-12, abs=1e-12
-    )
-    assert integral_i2(reversed_series) == pytest.approx(
-        integral_i2(series), rel=1e-12, abs=1e-12
+    assert integrals(reversed_series) == pytest.approx(
+        integrals(series), rel=1e-12, abs=1e-12
     )
 
 
@@ -392,7 +426,7 @@ def test_functionals_are_order_independent(terms):
 def test_rho_is_at_most_one(terms):
     # Cauchy-Schwarz: I1^2 <= I2 * 1 on [0, 1]
     series = CosineSeries(terms)
-    if series.is_zero() or integral_i2(series) < 1e-200:
+    if series.is_zero() or integrals(series)[1] < 1e-200:
         return
     assert summarize(series).rho <= 1.0 + 1e-12
 
@@ -406,9 +440,4 @@ def test_rho_is_at_most_one(terms):
 def test_duplicate_frequencies_merge(coeff_a, coeff_b, freq):
     split = CosineSeries([(coeff_a, freq), (coeff_b, freq)])
     merged = CosineSeries([(coeff_a + coeff_b, freq)])
-    assert integral_i1(split) == pytest.approx(
-        integral_i1(merged), rel=1e-12, abs=1e-12
-    )
-    assert integral_i2(split) == pytest.approx(
-        integral_i2(merged), rel=1e-12, abs=1e-12
-    )
+    assert integrals(split) == pytest.approx(integrals(merged), rel=1e-12, abs=1e-12)
