@@ -18,86 +18,39 @@ Modules
     cli             reproducible command-line front end
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .bounds import BoundReport, finite_majorant, max_size_bound, reference_min
-from .combinatorics import (
-    IntSet,
-    d_identity_residual,
-    diff_profile,
-    enumerate_b2g,
-    exhaustive_f,
-    f_table,
-    is_b2g,
-    s_comb,
-    s_dft,
-    sdft_inequality_scan,
-)
-from .errors import (
-    BudgetError,
-    DomainError,
-    HypothesisError,
-    InputError,
-    ToleranceError,
-    ToolkitError,
-    ValidationError,
-)
-from .family import (
-    FamilyParams,
-    OptimizeResult,
-    initial_params,
-    optimize,
-    to_series,
-)
-from .series import (
-    CosineSeries,
-    FunctionalSummary,
-    curvature_bound,
-    eval_w,
-    fourier_coefficients,
-    integral_jet,
-    summarize,
-)
-from .yu import LIMIT, YuParams, YuResult, yu_evaluate, yu_series
+# module -> the public names the package exports from it.  Each name is
+# imported on first access and then cached here (PEP 562), so importing the
+# package alone loads no module.
+_EXPORTS = {
+    "bounds": "BoundReport finite_majorant max_size_bound reference_min",
+    "combinatorics": "IntSet d_identity_residual diff_profile enumerate_b2g"
+    " exhaustive_f f_table is_b2g s_comb s_dft sdft_inequality_scan",
+    "errors": "BudgetError DomainError HypothesisError InputError ToleranceError"
+    " ToolkitError ValidationError",
+    "family": "FamilyParams OptimizeResult initial_params optimize to_series",
+    "series": "CosineSeries FunctionalSummary curvature_bound eval_w"
+    " fourier_coefficients integral_jet summarize",
+    "yu": "LIMIT YuParams YuResult yu_evaluate yu_series",
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names.split()
+}
+__all__ = ["__version__", *sorted(_MODULE_OF)]
 
-__all__ = [
-    "__version__",
-    "BoundReport",
-    "BudgetError",
-    "CosineSeries",
-    "DomainError",
-    "FamilyParams",
-    "FunctionalSummary",
-    "HypothesisError",
-    "InputError",
-    "IntSet",
-    "LIMIT",
-    "OptimizeResult",
-    "ToleranceError",
-    "ToolkitError",
-    "ValidationError",
-    "YuParams",
-    "YuResult",
-    "curvature_bound",
-    "d_identity_residual",
-    "diff_profile",
-    "enumerate_b2g",
-    "eval_w",
-    "exhaustive_f",
-    "f_table",
-    "finite_majorant",
-    "fourier_coefficients",
-    "initial_params",
-    "integral_jet",
-    "is_b2g",
-    "max_size_bound",
-    "optimize",
-    "reference_min",
-    "s_comb",
-    "s_dft",
-    "sdft_inequality_scan",
-    "summarize",
-    "to_series",
-    "yu_evaluate",
-    "yu_series",
-]
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        message = f"module {__name__!r} has no attribute {name!r}"
+        raise AttributeError(message) from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -203,7 +203,9 @@ def _parse_count(text: str, what: str) -> int:
         from decimal import Decimal, InvalidOperation  # off the path of plain counts
     try:
         value = Decimal(text)  # exact, with an exponent like 1e-999999999 unexpanded
-        if value == value.to_integral_value() and math.isfinite(float(value)):
+        if value.is_finite() and value == value.to_integral_value():
+            if not math.isfinite(float(value)):
+                raise InputError(f"{what} is too large, got {text!r}")
             return int(value)
     except InvalidOperation:
         pass

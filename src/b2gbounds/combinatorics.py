@@ -119,11 +119,12 @@ def s_dft(a: IntSet) -> float:
 
 
 def d_identity_residual(a: IntSet, series: CosineSeries) -> float:
-    """|sum_n d(n) w(n/N) - sum_theta b_theta |f(theta/N)|^2|.
+    """|lhs - rhs| / (1 + |lhs|), lhs = sum_n d(n) w(n/N) and
+    rhs = sum_theta b_theta |f(theta/N)|^2.
 
     Both sides equal the weighted difference sum D_A(b); they are computed
     independently (counts vs exponential sums), so the residual certifies
-    the spectral identity at floating accuracy.
+    the spectral identity at floating accuracy, relative to the sum's size.
     """
     if a.n < 1:
         raise ValidationError("identity residual needs ambient N >= 1")
@@ -132,7 +133,7 @@ def d_identity_residual(a: IntSet, series: CosineSeries) -> float:
         lhs += count * eval_w(series, diff / a.n)
     f_abs2 = np.abs(_exp_sum(a.elems, series.freqs / a.n)) ** 2
     rhs = float(series.coeffs @ f_abs2)
-    return abs(lhs - rhs)
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
 def enumerate_b2g(g: int, n: int):

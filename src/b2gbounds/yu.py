@@ -13,13 +13,14 @@ functional evaluation collapses to O(M):
 
     I2 = 1/2 sum_m 1/(m+lambda)^2  +  sin(4 pi lambda)/(4 pi) * T,
     T  = sum_{m,n} 1/((m+lambda)(n+lambda)(m+n+2 lambda))
-       = 2 sum_m 1/(m+lambda) * [P(m+M+1) - P(m)]          (prefix sums P of
-                                                            1/(i+2 lambda)^2)
+       = 2 sum_m [psi'(m+2 lambda) - psi'(m+M+1+2 lambda)] / (m+lambda)
 
-using the partial fraction 1/((m+l)(n+l)) = [1/(m+l) + 1/(n+l)]/(m+n+2l).
+using the partial fraction 1/((m+l)(n+l)) = [1/(m+l) + 1/(n+l)]/(m+n+2l) and
+sum_{n<=M} 1/(m+n+2l)^2 = psi'(m+2l) - psi'(m+M+1+2l).
 
-In the limit the inner sums become trigamma values; the tail of T past a head
-of M0 terms is evaluated in closed form through digamma/trigamma, leaving a
+The limit M -> infinity drops the second trigamma, T = 2 sum_m psi'(m+2l)/(m+l),
+and I1 becomes sin(2 pi l)/(2 pi) psi'(l).  The tail of T past a head of M0
+terms is evaluated in closed form through digamma/trigamma, leaving a
 remainder enclosed in (0, 1/(9 (M0+lambda)^3)] by the enveloping expansion
 1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3).  The reported constant
 is the midpoint of the resulting enclosure and error_bound certifies it.
@@ -47,10 +48,11 @@ LIMIT = "limit"
 # Rounding-noise envelope: added on top of the analytic enclosure of the
 # limit, and the whole error_bound of a finite truncation.  In the limit the
 # head sum runs over <= 2^24 + 1 doubles with np.sum's pairwise summation.  A
-# finite truncation's sums are BLAS dot products over m + 1 terms and one
-# sequential running sum over 2m + 1 terms, whose rounding grows with m and
-# is not pairwise; the value is asserted, not derived (tests compare it with
-# a long-double evaluation at m = 10^6).
+# finite truncation's sums are BLAS dot products: one over m + 1 terms for
+# I1 and, for T, one per block of _BLOCK trigamma differences, whose
+# ceil((m + 1) / _BLOCK) results are added in order.  The value is asserted,
+# not derived (tests compare it with a long-double prefix-sum evaluation up
+# to m = 10^6).
 ROUND_SLACK = 1e-13
 # Default certified tolerance of yu_evaluate, also the default of
 # b2g yu --tol.
@@ -58,7 +60,7 @@ TOL = 1e-9
 
 _M0_START = 1000
 _M0_MAX = 2**23
-# block length of the prefix sums in yu_functionals
+# indices j per block of trigamma differences in yu_functionals
 _BLOCK = 2**16
 
 # psi and psi' recur up to this argument before the asymptotic series is used
@@ -149,38 +151,31 @@ def yu_functionals(lam: float, m: int) -> tuple[float, float]:
     """(I1, I2) for truncation order m, in O(m) time.
 
     Matches the generic series evaluation to full precision and is the only
-    practical route at m ~ 10^6.  Memory is two arrays of m + 1 doubles (the
-    weights 1/(j + lambda) and the inner sums) plus one block of _BLOCK
-    doubles: the prefix sums P run left to right a block at a time.
+    practical route at m ~ 10^6.  Memory is one array of m + 1 doubles (the
+    weights 1/(j + lambda)) plus the trigamma temporaries of one block of
+    _BLOCK indices j.
     """
     if not (0.5 < lam < 1.0):
         raise ValidationError(f"lambda must lie in (1/2, 1), got {lam!r}")
     if m < 0:
         raise ValidationError(f"truncation must be >= 0, got {m}")
     check_addressable(m + 1, f"truncation {m}")
-    inv = 1.0 / (np.arange(m + 1, dtype=float) + lam)
+    inv = np.arange(m + 1, dtype=float)
+    inv += lam
+    np.reciprocal(inv, out=inv)
     sum_inv2 = float(inv @ inv)
     i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * sum_inv2
 
-    # inner[j] = P(j + m + 1) - P(j) with P(k) = sum_{i<k} 1/(i + 2 lambda)^2.
-    # Block entry b holds P(start + b + 1): P(1..m) is stored into inner[1:],
-    # and P(m+1..2m+1) is then subtracted in place from it.
-    inner = np.zeros(m + 1)
-    running = 0.0
-    for start in range(0, 2 * m + 1, _BLOCK):
-        stop = min(start + _BLOCK, 2 * m + 1)
-        block = 1.0 / (np.arange(start, stop, dtype=float) + 2.0 * lam) ** 2
-        block[0] += running  # the same additions as one cumsum over all terms
-        np.cumsum(block, out=block)
-        running = block[-1]
-        if start < m:
-            end = min(stop, m)
-            inner[start + 1 : end + 1] = block[: end - start]
-        if stop > m:
-            begin = max(start, m)
-            part = inner[begin - m : stop - m]
-            np.subtract(block[begin - start :], part, out=part)
-    t_sum = 2.0 * float(inv @ inner)
+    # T's inner sums psi'(j + 2 lambda) - psi'(j + m + 1 + 2 lambda), a block
+    # of j at a time
+    t_sum = 0.0
+    for start in range(0, m + 1, _BLOCK):
+        stop = min(start + _BLOCK, m + 1)
+        j = np.arange(start, stop, dtype=float)
+        inner = _trigamma(j + 2.0 * lam)
+        j += m + 1
+        inner -= _trigamma(j + 2.0 * lam)
+        t_sum += 2.0 * float(inv[start:stop] @ inner)
     i2 = 0.5 * sum_inv2 + math.sin(4.0 * math.pi * lam) / (4.0 * math.pi) * t_sum
     return i1, i2
 

@@ -141,8 +141,28 @@ def test_benchmark_trace_targets_resolve():
 def test_package_exports_resolve():
     names = b2gbounds.__all__
     assert len(names) == len(set(names))
+    assert set(names) <= set(dir(b2gbounds))
     for name in names:
         assert getattr(b2gbounds, name, None) is not None, name
+    with pytest.raises(AttributeError):
+        b2gbounds.no_such_name
+
+
+def test_package_import_loads_exports_on_first_access():
+    code = """
+import sys, b2gbounds
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("b2gbounds"))
+print(loaded())
+b2gbounds.YuParams
+print(loaded())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "['b2gbounds']"
+    assert "'b2gbounds.yu'" in after and "'b2gbounds.family'" not in after
 
 
 def test_records_are_immutable_and_validated():
@@ -275,9 +295,14 @@ def test_bound_n_beyond_exact_sizes_exits_2(series_file):
     assert json.loads(proc.stdout)["max_size"] > 0
     proc = run_cli("bound", series_file, "--n", "1e32", "--g", "2")
     assert proc.returncode == 2 and "2**53" in proc.stderr
-    # counts that are not finite integers are input errors too
-    for text in ("1e400", "nan", "inf", "1.5", "1e999999999", "1e-999999999"):
-        assert run_cli("bound", series_file, "--n", text, "--g", "2").returncode == 2
+    # integers past the double range are refused as too large, counts that
+    # are not finite integers as such
+    for text in ("1e400", "1e999999999"):
+        proc = run_cli("bound", series_file, "--n", text, "--g", "2")
+        assert proc.returncode == 2 and "--n is too large" in proc.stderr, text
+    for text in ("nan", "inf", "1.5", "1e-999999999"):
+        proc = run_cli("bound", series_file, "--n", text, "--g", "2")
+        assert proc.returncode == 2 and "--n must be an integer" in proc.stderr, text
 
 
 def test_yu_command_limit():

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from b2gbounds import (
     sdft_inequality_scan,
 )
 
+from b2gbounds import checks, combinatorics
 from b2gbounds.checks import difference_identity, random_pairs
 from b2gbounds.combinatorics import ScanReport
 
@@ -93,6 +95,23 @@ def test_identity_residual_small(rng):
     assert passed, detail
     with pytest.raises(ValidationError):
         d_identity_residual(IntSet((), 0), make_series(rng))
+
+
+def test_difference_identity_evaluates_w_once_per_difference(monkeypatch):
+    calls = []
+    for module in (checks, combinatorics):
+        if hasattr(module, "eval_w"):
+
+            def counted(*args, _eval_w=module.eval_w):
+                calls.append(args)
+                return _eval_w(*args)
+
+            monkeypatch.setattr(module, "eval_w", counted)
+    pairs = random_pairs(np.random.default_rng(0), 5)
+    _, passed, detail = difference_identity(pairs)
+    assert passed, detail
+    distinct = sum(len(profile) for _, _, profile in pairs)
+    assert len(calls) == distinct == 127
 
 
 def test_enumeration_matches_powerset():

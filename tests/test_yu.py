@@ -74,44 +74,33 @@ def test_linear_time_functionals_match_generic(rng):
         assert i2 == pytest.approx(summary.i2, rel=1e-10, abs=1e-12)
 
 
-def _whole_array_functionals(lam, m):
-    """The single-pass formula: q, its cumsum and the prefix array all at once."""
-    idx = np.arange(m + 1, dtype=float)
-    inv = 1.0 / (idx + lam)
-    sum_inv2 = float(inv @ inv)
-    i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * sum_inv2
-    q = 1.0 / (np.arange(2 * m + 1, dtype=float) + 2.0 * lam) ** 2
-    prefix = np.concatenate([[0.0], np.cumsum(q)])  # prefix[j] = sum_{i<j} q_i
-    inner = prefix[m + 1 :] - prefix[: m + 1]
-    t_sum = 2.0 * float(inv @ inner)
-    i2 = 0.5 * sum_inv2 + math.sin(4.0 * math.pi * lam) / (4.0 * math.pi) * t_sum
-    return i1, i2
-
-
 BLOCK_EDGES = (0, 1, 2, 3, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1)
+LAMBDAS = (0.5001, 0.62, 0.75, 0.75315, 365 / 478, 0.9999)
 
 
-@pytest.mark.parametrize("m", BLOCK_EDGES + (2 * _BLOCK, 10**6))
-def test_blocked_functionals_are_bit_identical_to_whole_array(m):
-    # 2m + 1 prefix terms: every m here puts a block edge somewhere else
-    for lam in (0.5001, 0.62, 0.75, 0.75315, 365 / 478, 0.9999):
-        assert yu_functionals(lam, m) == _whole_array_functionals(lam, m), lam
+@pytest.mark.parametrize("m", (0, 1, _BLOCK + 1, 10**6))
+def test_i1_is_the_dot_product_of_the_weights(m):
+    for lam in LAMBDAS:
+        inv = 1.0 / (np.arange(m + 1, dtype=float) + lam)
+        i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * float(inv @ inv)
+        assert yu_functionals(lam, m)[0] == i1, lam
 
 
-def test_functionals_hold_two_arrays_and_one_block():
-    # two arrays of 10^6 + 1 doubles are 16 MB; the whole-array formula
-    # peaks at 64 MB
+def test_functionals_hold_one_array_and_one_block():
+    # one array of 10^6 + 1 doubles is 8 MB, a block of trigamma temporaries
+    # a few MB more; a second array of m + 1 doubles would pass the bound
     tracemalloc.start()
     try:
         yu_functionals(0.75315, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 16e6
 
 
 def _long_double_constant(lam, m):
-    """2(1 - I1^2/I2) from the yu_functionals formula in np.longdouble."""
+    """2(1 - I1^2/I2) in np.longdouble, T from running prefix sums P(k) of
+    1/(i + 2 lambda)^2 rather than yu_functionals' trigamma differences."""
     ld = np.longdouble
     pi = ld(mpmath.nstr(mpmath.pi, 30))
     lam = ld(lam)
@@ -130,14 +119,16 @@ def _long_double_constant(lam, m):
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
 )
-@pytest.mark.parametrize("m", (10**5, 10**6))
-@pytest.mark.parametrize("lam", (0.62, 0.75315))
+@pytest.mark.parametrize("m", BLOCK_EDGES + (2 * _BLOCK, 10**5, 10**6))
+@pytest.mark.parametrize("lam", LAMBDAS)
 def test_round_slack_covers_finite_truncation(lam, m):
-    # the error_bound of a finite truncation is ROUND_SLACK alone
+    # the error_bound of a finite truncation is ROUND_SLACK alone; every m
+    # here puts a block edge somewhere else
     result = yu_evaluate(YuParams(lam, m))
     assert result.error_bound == ROUND_SLACK
     gap = abs(result.constant - _long_double_constant(lam, m))
     assert gap <= ROUND_SLACK, gap
+    assert gap <= 1e-15, gap
 
 
 def test_limit_at_three_quarters_is_catalan_expression():
