@@ -35,7 +35,7 @@ from datetime import datetime, timezone
 from . import __version__, checks, jsonutil
 from ._numpy import np
 from .bounds import max_size_bound
-from .combinatorics import exhaustive_f, f_table
+from .combinatorics import IntSet, f_table
 from .errors import (
     BudgetError,
     DomainError,
@@ -340,25 +340,20 @@ def cmd_search(args) -> int:
     n = _parse_count(args.n, "--n")
     stats = {}
     start = time.perf_counter()
+    rows = f_table(args.g, n, budget=args.budget, stats=stats)
+    stats["wall_s"] = time.perf_counter() - start
     if args.table:
-        rows = f_table([args.g], n, budget=args.budget, stats=stats)
-        stats["wall_s"] = time.perf_counter() - start
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["g", "N", "F", "witness"])
         for g, n_val, size, elems in rows:
             writer.writerow([g, n_val, size, " ".join(map(str, elems))])
-        _emit(args, buf.getvalue(), stats=stats)
-        return EXIT_OK
-    size, witness = exhaustive_f(args.g, n, budget=args.budget, stats=stats)
-    stats["wall_s"] = time.perf_counter() - start
-    obj = {
-        "g": args.g,
-        "n": n,
-        "F": size,
-        "witness": jsonutil.intset_to_obj(witness),
-    }
-    _emit(args, jsonutil.dumps(obj), stats=stats)
+        text = buf.getvalue()
+    else:
+        _, _, size, elems = rows[-1]
+        witness = jsonutil.intset_to_obj(IntSet(elems, n))
+        text = jsonutil.dumps({"g": args.g, "n": n, "F": size, "witness": witness})
+    _emit(args, text, stats=stats)
     return EXIT_OK
 
 

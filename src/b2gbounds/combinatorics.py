@@ -14,13 +14,14 @@ consumes s_dft, which for every B2[g] set satisfies s_dft <= (2g-1) |A|^2.
 
 F(g, N), the largest B2[g] subset of [0, N], is computed by one sequential
 depth-first branch and bound over increasing elements.  Each node holds its
-set as a bitmask and its pairwise sums as g bitmask layers (see _extend),
-the state that the enumeration of all B2[g] sets walks too.  The rows
-F(g, 0), F(g, 1), ... are built in turn, and each row prunes with the ones
-before it: the elements >= x of a B2[g] set, shifted down by x, are a B2[g]
-set in [0, N - x].  Once a set of F(g, N - 1) elements is found, only a set
-that contains N can be larger, so a node whose set cannot take N is dropped.
-Ties are broken toward the lexicographically smallest maximal witness.
+set as a bitmask and its pairwise sums as g bitmask layers (see _extend, the
+one B2[g] test here), the state that the enumeration of all B2[g] sets walks
+too.  A table is one g: its rows F(g, 0), F(g, 1), ... are built in turn,
+and each row prunes with the ones before it: the elements >= x of a B2[g]
+set, shifted down by x, are a B2[g] set in [0, N - x].  Once a set of
+F(g, N - 1) elements is found, only a set that contains N can be larger, so
+a node whose set cannot take N is dropped.  Ties are broken toward the
+lexicographically smallest maximal witness.
 
 The s_dft lemma scan walks the same bitmask state once for every N, with
 s_dft in integers (see sdft_inequality_scan).
@@ -29,7 +30,7 @@ s_dft in integers (see sdft_inequality_scan).
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from ._numpy import np
 from .errors import BudgetError, ValidationError, check_addressable
@@ -76,14 +77,6 @@ def _extend(layers, mask, x):
         grown.append(layer | below & sums)
         below = layer
     return grown
-
-
-def is_b2g(a: IntSet, g: int) -> bool:
-    """True iff every integer has at most g representations a+b, a <= b."""
-    if g < 1:
-        raise ValidationError(f"g must be >= 1, got {g}")
-    sums = Counter(x + y for i, x in enumerate(a.elems) for y in a.elems[i:])
-    return all(count <= g for count in sums.values())
 
 
 def diff_profile(a: IntSet) -> dict:
@@ -209,57 +202,48 @@ def exhaustive_f(
 ) -> tuple[int, IntSet]:
     """Exact F(g, N) with the lexicographically smallest maximal witness.
 
-    The last row of f_table([g], n, budget, stats): budget caps the nodes
-    visited over all rows; exceeding it raises BudgetError carrying the best
-    set found so far.  If stats is a dict, its "nodes" entry receives the
-    number of nodes visited.
+    The last row of f_table(g, n, budget, stats), as (size, IntSet).
     """
-    _, _, size, elems = f_table([g], n, budget=budget, stats=stats)[-1]
+    _, _, size, elems = f_table(g, n, budget=budget, stats=stats)[-1]
     return size, IntSet(elems=elems, n=n)
 
 
-def f_table(
-    g_values, n_max: int, budget: int | None = None, stats: dict | None = None
-):
-    """Rows (g, N, F, witness) for every g in g_values and N = 0..n_max.
+def f_table(g: int, n_max: int, budget: int | None = None, stats: dict | None = None):
+    """Rows (g, N, F(g, N), lex-first maximal witness) for N = 0..n_max.
 
-    One table search per g by sequential branch and bound (see _search_row).
-    budget caps the nodes of each g's table; exceeding it raises BudgetError
-    with the largest set found so far, a B2[g] subset of [0, n_max] whose
-    size is a lower bound, explicitly not exact.  A stats dict receives the
-    total "nodes" visited.
+    One table search by sequential branch and bound (see _search_row).
+    budget caps the nodes visited over all rows; exceeding it raises
+    BudgetError with the largest set found so far, a B2[g] subset of
+    [0, n_max] whose size is a lower bound, explicitly not exact.  A stats
+    dict receives the "nodes" visited.
     """
-    for g in g_values:
-        if g < 1:
-            raise ValidationError(f"g must be >= 1, got {g}")
-        check_addressable(g, f"g = {g}")
+    if g < 1:
+        raise ValidationError(f"g must be >= 1, got {g}")
+    check_addressable(g, f"g = {g}")
     if n_max < 0:
         raise ValidationError(f"n must be >= 0, got {n_max}")
     if budget is not None and budget < 0:
         raise ValidationError(f"budget must be >= 0, got {budget}")
     limit = math.inf if budget is None else int(budget)
-    rows, total = [], 0
-    for g in g_values:
-        sizes, nodes = [], 0
-        for n in range(n_max + 1):
-            try:
-                size, wit, nodes = _search_row(g, n, sizes, nodes, limit)
-            except _BudgetHit as hit:
-                size, wit, nodes = hit.args
-                if sizes and sizes[-1] > size:  # rows[-1] is this g's N - 1
-                    size, wit = sizes[-1], rows[-1][3]
-                raise BudgetError(
-                    f"node budget {budget} exhausted at F({g},{n_max}) >= {size}; "
-                    f"best-so-far is a lower bound, NOT exact",
-                    size=size,
-                    witness=IntSet(elems=wit, n=n_max),
-                    nodes=nodes,
-                ) from None
-            sizes.append(size)
-            rows.append((g, n, size, wit))
-        total += nodes
+    rows, sizes, nodes = [], [], 0
+    for n in range(n_max + 1):
+        try:
+            size, wit, nodes = _search_row(g, n, sizes, nodes, limit)
+        except _BudgetHit as hit:
+            size, wit, nodes = hit.args
+            if sizes and sizes[-1] > size:
+                size, wit = sizes[-1], rows[-1][3]
+            raise BudgetError(
+                f"node budget {budget} exhausted at F({g},{n_max}) >= {size}; "
+                f"best-so-far is a lower bound, NOT exact",
+                size=size,
+                witness=IntSet(elems=wit, n=n_max),
+                nodes=nodes,
+            ) from None
+        sizes.append(size)
+        rows.append((g, n, size, wit))
     if stats is not None:
-        stats["nodes"] = total
+        stats["nodes"] = nodes
     return rows
 
 

@@ -73,14 +73,16 @@ _DIGAMMA_COEFFS = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
 def _recur(x, power: int) -> tuple[np.ndarray, np.ndarray]:
     """(x + k, sum_{i<k} (x + i)**-power), with k the steps that carry each
     element of x > 0 to at least _SERIES_FROM (k = 0 where it already is)."""
-    x = np.array(x, dtype=float)
+    x = np.array(x, dtype=float, order="C")  # C order: the flat views share it
     carry = np.zeros_like(x)
-    small = x < _SERIES_FROM
-    while small.any():
-        safe = np.where(small, x, 1.0)  # no division can warn
-        carry += np.where(small, 1.0 / safe**power, 0.0)
-        x = np.where(small, x + 1.0, x)
-        small = x < _SERIES_FROM
+    flat_x, flat_carry = x.reshape(-1), carry.reshape(-1)
+    moving = np.flatnonzero(flat_x < _SERIES_FROM)
+    while moving.size:
+        step = flat_x[moving]
+        flat_carry[moving] += 1.0 / step**power
+        step += 1.0
+        flat_x[moving] = step
+        moving = moving[step < _SERIES_FROM]
     return x, carry
 
 
@@ -218,7 +220,8 @@ def yu_evaluate(
 
     Finite truncations are closed-form exact up to rounding; the limit is
     certified to < tol by growing the head length m0, then validated by a
-    doubled-m0 re-evaluation whose result is the one reported.  For the
+    doubled-m0 re-evaluation whose result is the one reported, and a tol
+    below 4 ROUND_SLACK, which no m0 reaches, is refused at once.  For the
     limit, if stats is a dict, its "m0" and "half_width" entries receive the
     head length and half-width of the reported enclosure.
     """
@@ -233,6 +236,11 @@ def yu_evaluate(
         i1, i2 = yu_functionals(params.lam, params.truncation)
         constant = constant_from(i1, i2)
         return YuResult(params.lam, params.truncation, constant, ROUND_SLACK)
+    if ROUND_SLACK > 0.25 * tol:  # the doubling loop below could never stop
+        raise ToleranceError(
+            f"tol={tol:g} is below 4 x the floating-point envelope",
+            achieved=ROUND_SLACK,
+        )
 
     m0 = _M0_START
     c_mid, half = _limit_enclosure(params.lam, m0)

@@ -191,7 +191,9 @@ def test_criterion_8_soundness_and_reference_coefficient(m400):
     obj, _ = m400
     optimized = to_series(FamilyParams(y=tuple(obj["y"]), c=tuple(obj["c"])))
     all_series = suite_series() + [("optimized-m400", optimized)]
-    _, sound, detail = checks.bound_soundness(all_series, f_table([1, 2], 25))
+    _, sound, detail = checks.bound_soundness(
+        all_series, [row for g in (1, 2) for row in f_table(g, 25)]
+    )
     coeff = max_size_bound(optimized, 10**8, 2).coefficient
     rel = abs(coeff - 1.319266) / 1.319266
     crit(

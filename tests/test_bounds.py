@@ -95,7 +95,9 @@ def test_scan_limit_covers_feasible_sizes():
 
 
 def test_bound_is_sound_for_exhaustive_f():
-    _, passed, detail = bound_soundness(suite_series(), f_table([1, 2], 16))
+    _, passed, detail = bound_soundness(
+        suite_series(), [row for g in (1, 2) for row in f_table(g, 16)]
+    )
     assert passed, detail
 
 

@@ -312,6 +312,10 @@ def test_yu_command_limit():
     assert obj["truncation"] == "limit"
     assert obj["constant"] == pytest.approx(1.7424537, abs=1e-6)
     assert obj["error_bound"] <= 1e-6
+    # below 4 x the rounding envelope no head length can certify tol
+    proc = run_cli("yu", "--lambda", "0.7", "--limit", "--tol", "1e-13")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "budget exhausted" in proc.stderr
 
 
 def test_yu_manifest_stats(tmp_path):
@@ -412,9 +416,27 @@ def test_search_manifest_stats(tmp_path):
     assert proc.returncode == 0 and proc.stdout == plain.stdout
     with open(out + ".manifest.json") as fh:
         stats = json.load(fh)["stats"]
-    f_table([1], 12, stats=expected)
+    f_table(1, 12, stats=expected)
     assert stats["nodes"] == expected["nodes"] > 0
     assert stats["wall_s"] > 0
+
+
+@pytest.mark.parametrize("g, n", [(1, 25), (2, 14)])
+def test_search_json_is_the_last_table_row(g, n):
+    argv = ("search", "--g", str(g), "--n", str(n))
+    plain, table = run_cli(*argv), run_cli(*argv, "--table")
+    assert plain.returncode == table.returncode == 0
+    obj = json.loads(plain.stdout)
+    last = table.stdout.splitlines()[-1]
+    witness = " ".join(map(str, obj["witness"]["elems"]))
+    assert last == f"{obj['g']},{obj['n']},{obj['F']},{witness}"
+    assert (obj["g"], obj["n"], obj["witness"]["N"]) == (g, n, n)
+    # both forms run out of a budget alike, with no output
+    plain = run_cli(*argv, "--budget", "50")
+    table = run_cli(*argv, "--table", "--budget", "50")
+    assert plain.returncode == table.returncode == 4
+    assert plain.stderr == table.stderr and "lower bound" in plain.stderr
+    assert plain.stdout == table.stdout == ""
 
 
 def test_search_table_csv():

@@ -18,7 +18,6 @@ from b2gbounds import (
     enumerate_b2g,
     exhaustive_f,
     f_table,
-    is_b2g,
     s_comb,
     s_dft,
     sdft_inequality_scan,
@@ -26,7 +25,7 @@ from b2gbounds import (
 
 from b2gbounds import checks, combinatorics
 from b2gbounds.checks import difference_identity, random_pairs
-from b2gbounds.combinatorics import ScanReport
+from b2gbounds.combinatorics import ScanReport, _extend
 
 from conftest import make_series
 
@@ -41,6 +40,17 @@ def brute_b2g(elems, g):
     return all(v <= g for v in counts.values())
 
 
+def extend_b2g(elems, g):
+    """The library's test: _extend folded over the elements, never refused."""
+    layers, mask = [0] * g, 0
+    for x in elems:
+        layers = _extend(layers, mask, x)
+        if layers is None:
+            return False
+        mask |= 1 << x
+    return True
+
+
 def test_intset_validation():
     with pytest.raises(ValidationError):
         IntSet(elems=(3, 1), n=5)
@@ -53,16 +63,14 @@ def test_intset_validation():
     assert IntSet(elems=(), n=0).size == 0
 
 
-def test_is_b2g_known_cases():
-    assert is_b2g(IntSet((0, 1, 3), 3), 1)
-    assert not is_b2g(IntSet((0, 1, 2, 3), 3), 1)  # 0+3 = 1+2
-    assert is_b2g(IntSet((0, 1, 2, 3), 3), 2)
-    assert not is_b2g(IntSet((0, 1, 2, 3, 4), 4), 2)  # 0+4 = 1+3 = 2+2
-    # the cost is in |A| alone: a bitmask over [0, 2N] would need 2e18 bits
-    assert is_b2g(IntSet((0, 1, 10**18), 10**18), 1)
-    assert not is_b2g(IntSet((0, 1, 2, 3), 10**18), 1)
-    with pytest.raises(ValidationError):
-        is_b2g(IntSet((0, 1), 1), 0)
+def test_extend_known_cases():
+    for elems, g, admissible in [
+        ((0, 1, 3), 1, True),
+        ((0, 1, 2, 3), 1, False),  # 0+3 = 1+2
+        ((0, 1, 2, 3), 2, True),
+        ((0, 1, 2, 3, 4), 2, False),  # 0+4 = 1+3 = 2+2
+    ]:
+        assert extend_b2g(elems, g) == brute_b2g(elems, g) == admissible, elems
 
 
 def test_diff_profile_explicit():
@@ -165,11 +173,11 @@ def test_f_table_matches_golomb_rulers():
     # a Sidon set in [0, N] is a Golomb ruler of length <= N, so F(1, N) is
     # the largest k with G(k) <= N
     stats = {}
-    rows = f_table([1], 44, stats=stats)
+    rows = f_table(1, 44, stats=stats)
     assert [n for _, n, _, _ in rows] == list(range(45))
     for g, n, size, wit in rows:
         assert size == sum(length <= n for length in GOLOMB_LENGTHS), n
-        assert len(wit) == size and is_b2g(IntSet(wit, n), 1), (n, wit)
+        assert len(wit) == size and brute_b2g(wit, 1), (n, wit)
     assert stats["nodes"] > 0
 
 
@@ -178,7 +186,7 @@ def test_f_table_matches_enumeration_oracle():
     # subsets of [0, N] are those of [0, 12] that end at or below N
     for g in range(1, 6):
         sets = list(enumerate_b2g(g, 12))
-        rows = f_table([g], 12)
+        rows = f_table(g, 12)
         assert len(rows) == 13
         for _, n, size, wit in rows:
             inside = [s for s in sets if not s or s[-1] <= n]
@@ -193,7 +201,7 @@ def test_search_tree_node_counts():
     # change moves these pins
     for g, n_max, nodes in ((1, 29, 8703), (2, 21, 21450)):
         stats = {}
-        f_table([g], n_max, stats=stats)
+        f_table(g, n_max, stats=stats)
         assert stats["nodes"] == nodes, (g, n_max)
 
 
@@ -209,7 +217,7 @@ def test_budget_error_carries_lower_bound():
     err = info.value
     assert err.nodes > 50
     assert err.size == err.witness.size >= 1
-    assert is_b2g(err.witness, 2)
+    assert brute_b2g(err.witness.elems, 2)
     assert "NOT exact" in str(err)
     # the budget counts every node, the smaller rows of the bound included,
     # and the witness is the best set found so far, inside [0, 14]
@@ -222,23 +230,21 @@ def test_budget_error_carries_lower_bound():
     with pytest.raises(BudgetError) as info:
         exhaustive_f(2, 14, budget=stats["nodes"] - 1)
     assert info.value.nodes == stats["nodes"]
-    assert is_b2g(info.value.witness, 2) and info.value.witness.n == 14
+    assert brute_b2g(info.value.witness.elems, 2) and info.value.witness.n == 14
     assert exhaustive_f(2, 14, budget=stats["nodes"])[0] == exact
 
 
 @pytest.mark.parametrize("budget", [500, 490])
-def test_budget_runs_out_on_the_second_g(budget):
-    # the budget counts each g's table afresh; on g = 2 the best set so far
-    # must come from the g = 2 rows, not from the finished g = 1 table.  At
-    # 490 the budget runs out early in row N = 13, before that row matches
+def test_budget_falls_back_to_the_previous_row(budget):
+    # at 490 the budget runs out early in row N = 13, before that row matches
     # F(2, 12) = 7, so the size and witness are row 12's
     with pytest.raises(BudgetError) as info:
-        f_table([1, 2], 14, budget=budget)
+        f_table(2, 14, budget=budget)
     err = info.value
     assert "F(2,14) >= 7" in str(err)
     assert err.nodes == budget + 1
     assert err.witness == IntSet((0, 1, 2, 3, 5, 7, 11), 14)
-    assert is_b2g(err.witness, 2)
+    assert brute_b2g(err.witness.elems, 2)
 
 
 def test_budget_large_enough_is_silent():
@@ -246,9 +252,9 @@ def test_budget_large_enough_is_silent():
     assert size == 4
     with pytest.raises(ValidationError):
         exhaustive_f(1, 8, budget=-1)
-    # validated before the loop over g, so an empty g list is checked too
+    # n is checked before the budget
     with pytest.raises(ValidationError, match="n must be >= 0"):
-        f_table([], -1, budget=-5)
+        f_table(1, -1, budget=-5)
 
 
 def greedy_lower(g, n):
@@ -267,14 +273,14 @@ def test_greedy_is_valid_and_dominated():
     for g in (1, 2):
         for n in (5, 9, 12):
             lower = greedy_lower(g, n)
-            assert is_b2g(lower, g)
+            assert brute_b2g(lower.elems, g)
             assert lower.size <= exhaustive_f(g, n)[0]
     # greedy g=1 from 0 reproduces the classical greedy non-averaging prefix
     assert greedy_lower(1, 20).elems == (0, 1, 3, 7, 12, 20)
 
 
 def test_f_table_shape_and_monotonicity():
-    rows = f_table([1, 2], 10)
+    rows = [row for g in (1, 2) for row in f_table(g, 10)]
     assert len(rows) == 22
     by_g = {1: [], 2: []}
     for g, n, size, wit in rows:
@@ -330,6 +336,10 @@ def test_inequality_scan_frozen_reports():
     assert sdft_inequality_scan(2, 14) == ScanReport(26565, 0, 16 / 7)
     assert sdft_inequality_scan(1, 18) == ScanReport(17669, 0, 1.0)
     assert sdft_inequality_scan(2, 18) == ScanReport(202968, 0, 194 / 81)
+    # the other g the paper improves on, at N <= 12
+    assert sdft_inequality_scan(3, 12) == ScanReport(14300, 0, 34 / 9)
+    assert sdft_inequality_scan(4, 12) == ScanReport(16063, 0, 123 / 25)
+    assert sdft_inequality_scan(5, 12) == ScanReport(16354, 0, 736 / 121)
 
 
 def test_inequality_scan_memory_is_one_batch():
@@ -353,13 +363,11 @@ subset_strategy = st.lists(
 @given(elems=subset_strategy, g=st.integers(min_value=1, max_value=3))
 def test_b2g_is_monotone_in_g_and_subsets(elems, g):
     elems = tuple(sorted(elems))
-    a = IntSet(elems, 24)
-    if is_b2g(a, g):
-        assert is_b2g(a, g + 1)
+    if extend_b2g(elems, g):
+        assert extend_b2g(elems, g + 1)
         if elems:
-            smaller = IntSet(elems[:-1], 24)
-            assert is_b2g(smaller, g)
-    assert is_b2g(a, g) == brute_b2g(elems, g)
+            assert extend_b2g(elems[:-1], g)
+    assert extend_b2g(elems, g) == brute_b2g(elems, g)
 
 
 @settings(max_examples=100, deadline=None)

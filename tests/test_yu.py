@@ -15,7 +15,7 @@ from b2gbounds import (
     yu_evaluate,
     yu_series,
 )
-from b2gbounds import bounds
+from b2gbounds import LIMIT, bounds, yu
 from b2gbounds.yu import ROUND_SLACK, _BLOCK, _digamma, _trigamma, yu_functionals
 
 
@@ -53,8 +53,14 @@ def test_digamma_and_trigamma_match_mpmath():
         ref1 = np.array([float(mpmath.psi(1, v)) for v in x])
     assert np.all(np.abs(psi1 - ref1) <= 4 * np.spacing(ref1))
     assert np.all(np.abs(psi - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
-    # a scalar argument gives the element of the array evaluation
+    # a scalar argument gives the element of the array evaluation, and a
+    # 0-d or 2-D one (C or Fortran order) keeps its shape
     assert float(_trigamma(0.875)) == psi1[x == 0.875][0]
+    for func, flat in ((_digamma, psi), (_trigamma, psi1)):
+        point = func(np.array(0.875))
+        assert point.shape == () and point == flat[x == 0.875][0]
+        assert np.array_equal(func(x.reshape(12, 9)), flat.reshape(12, 9))
+        assert np.array_equal(func(x.reshape(9, 12).T), flat.reshape(9, 12).T)
     # one recurrence step across the switch: 9.5 is shifted, 10.5 is not
     assert float(_digamma(10.5) - _digamma(9.5)) == pytest.approx(1 / 9.5, rel=1e-14)
     assert float(_trigamma(9.5) - _trigamma(10.5)) == pytest.approx(
@@ -161,6 +167,23 @@ def test_finite_evaluation_is_exact_up_to_rounding():
     assert result.error_bound == ROUND_SLACK
     with pytest.raises(ToleranceError):
         yu_evaluate(params, tol=1e-16)
+
+
+def test_limit_refuses_a_tolerance_no_head_reaches(monkeypatch):
+    # the doubling loop stops only at half-width + ROUND_SLACK <= tol / 4,
+    # so a tol below 4 ROUND_SLACK is refused before any enclosure
+    calls = []
+    enclosure = yu._limit_enclosure
+    monkeypatch.setattr(
+        yu, "_limit_enclosure", lambda *args: calls.append(args) or enclosure(*args)
+    )
+    for tol in (1e-13, 3.9e-13):
+        with pytest.raises(ToleranceError) as info:
+            yu_evaluate(YuParams(0.7, LIMIT), tol=tol)
+        assert info.value.achieved == ROUND_SLACK
+    assert calls == []
+    assert yu_evaluate(YuParams(0.7, LIMIT), tol=4e-13).error_bound <= 4e-13
+    assert calls
 
 
 def test_limit_error_bound_is_honest():
