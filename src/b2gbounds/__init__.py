@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 # package alone loads no module.
 _EXPORTS = {
     "bounds": "BoundReport finite_majorant max_size_bound reference_min",
-    "combinatorics": "IntSet d_identity_residual diff_profile enumerate_b2g"
-    " exhaustive_f f_table s_comb s_dft sdft_inequality_scan",
+    "combinatorics": "IntSet d_identity_residual diff_profile exhaustive_f"
+    " f_table s_comb s_dft sdft_inequality_scan",
     "errors": "BudgetError DomainError HypothesisError InputError ToleranceError"
     " ToolkitError ValidationError",
     "family": "FamilyParams OptimizeResult initial_params optimize to_series",

@@ -11,11 +11,16 @@ Subcommands
 This module only parses flags and prints results: library defaults and all
 arithmetic stay in the library, and b2g <cmd> --help shows every default.
 Numeric output is JSON with 17-significant-digit decimals, so repeated runs
-with identical flags are byte-identical.  With --out, _emit also writes the
-result there plus a run manifest (command, the inputs actually used,
-outputs, tool version, timestamp, tolerances and, for optimize, search,
-bound and yu, run statistics); the timestamp and the statistics' wall time
-are the only fields excluded from reproducibility guarantees.
+with identical flags are byte-identical.  Each cmd_* returns its stdout
+text and exit code, and main writes them: with --out, _emit also writes the
+text there plus a run manifest (command, the inputs actually used, outputs,
+tool version, timestamp, stats).  Every command's stats hold wall_s, the
+seconds from parsed flags to formatted text (reading input files and
+parsing counts included, writing the output not); bound adds
+sizes_evaluated, yu --limit m0 and half_width, search nodes, and optimize
+stop_reason, iterations, pg_norm, evaluations, cholesky_steps and
+eigh_calls.  The timestamp and wall_s are the only fields excluded from
+reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted or out of memory, 5 verification failure.
@@ -58,8 +63,13 @@ EXIT_VERIFY = 5
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stats = {}
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        text, code = args.func(args, stats)
+        stats["wall_s"] = time.perf_counter() - start
+        _emit(args, text, stats)
+        return code
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -212,9 +222,7 @@ def _parse_count(text: str, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {text!r}")
 
 
-def _emit(
-    args, text: str, tolerances: dict | None = None, stats: dict | None = None
-) -> None:
+def _emit(args, text: str, stats: dict) -> None:
     """Print text; with --out also write it there, then the run manifest.
 
     stats (run statistics) go to the manifest only, never to stdout.
@@ -233,17 +241,15 @@ def _emit(
         "outputs": [os.path.abspath(args.out)],
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tolerances": tolerances or {},
+        "stats": stats,
     }
-    if stats is not None:
-        manifest["stats"] = stats
     jsonutil.write_text_atomic(args.out + ".manifest.json", jsonutil.dumps(manifest))
 
 
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, stats) -> tuple[str, int]:
     series = jsonutil.load_series(args.series_file)
     summary = summarize(series)
     if args.require_negative_i1 and summary.constant is None:
@@ -270,48 +276,32 @@ def cmd_analyze(args) -> int:
             buf.write(f"{jsonutil.fmt17(t)},{jsonutil.fmt17(w)}\n")
         jsonutil.write_text_atomic(path, buf.getvalue())
         obj["samples"] = os.path.abspath(path)
-    _emit(args, jsonutil.dumps(obj))
-    return EXIT_OK
+    return jsonutil.dumps(obj), EXIT_OK
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args, stats) -> tuple[str, int]:
     series = jsonutil.load_series(args.series_file)
     n = _parse_count(args.n, "--n")
-    stats = {}
-    start = time.perf_counter()
     report = max_size_bound(series, n, args.g, stats=stats)
-    stats["wall_s"] = time.perf_counter() - start
-    _emit(args, jsonutil.dumps(report.to_obj()), stats=stats)
-    return EXIT_OK
+    return jsonutil.dumps(report.to_obj()), EXIT_OK
 
 
-def cmd_yu(args) -> int:
+def cmd_yu(args, stats) -> tuple[str, int]:
     truncation = LIMIT if args.limit else _parse_count(args.m, "--m")
     params = YuParams(lam=args.lam, truncation=truncation)
-    stats = {}
-    start = time.perf_counter()
     result = yu_evaluate(params, args.tol, stats=stats)
-    stats["wall_s"] = time.perf_counter() - start
-    _emit(
-        args,
-        jsonutil.dumps(result.to_obj()),
-        tolerances={"tol": args.tol},
-        stats=stats,
-    )
-    return EXIT_OK
+    return jsonutil.dumps(result.to_obj()), EXIT_OK
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args, stats) -> tuple[str, int]:
     init = args.init
     if init not in ("paper", "yu-like", "random") and (
         init.endswith(".json") or os.path.exists(init)
     ):
         init = jsonutil.load_params(init)
-    start = time.perf_counter()
     result = optimize(
         args.m, init, max_iter=args.max_iter, grad_tol=args.grad_tol, seed=args.seed
     )
-    wall_s = time.perf_counter() - start
     obj = jsonutil.params_to_obj(
         result.params,
         extra={
@@ -321,27 +311,20 @@ def cmd_optimize(args) -> int:
             "converged": result.converged,
         },
     )
-    stats = {
-        "stop_reason": result.stop_reason,
-        "iterations": result.iterations,
-        "pg_norm": result.pg_norm,
-        "evaluations": result.evaluations,
-        "cholesky_steps": result.cholesky_steps,
-        "eigh_calls": result.eigh_calls,
-        "wall_s": wall_s,
-    }
-    _emit(
-        args, jsonutil.dumps(obj), tolerances={"grad_tol": args.grad_tol}, stats=stats
+    stats.update(
+        stop_reason=result.stop_reason,
+        iterations=result.iterations,
+        pg_norm=result.pg_norm,
+        evaluations=result.evaluations,
+        cholesky_steps=result.cholesky_steps,
+        eigh_calls=result.eigh_calls,
     )
-    return EXIT_OK
+    return jsonutil.dumps(obj), EXIT_OK
 
 
-def cmd_search(args) -> int:
+def cmd_search(args, stats) -> tuple[str, int]:
     n = _parse_count(args.n, "--n")
-    stats = {}
-    start = time.perf_counter()
     rows = f_table(args.g, n, budget=args.budget, stats=stats)
-    stats["wall_s"] = time.perf_counter() - start
     if args.table:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -353,11 +336,10 @@ def cmd_search(args) -> int:
         _, _, size, elems = rows[-1]
         witness = jsonutil.intset_to_obj(IntSet(elems, n))
         text = jsonutil.dumps({"g": args.g, "n": n, "F": size, "witness": witness})
-    _emit(args, text, stats=stats)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, stats) -> tuple[str, int]:
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     if args.nmax < 1:
@@ -376,8 +358,7 @@ def cmd_verify(args) -> int:
             lines.append(f"[{name}] {verdict} {check}: {detail}\n")
             failures += 0 if passed else 1
     lines.append("all checks passed\n" if failures == 0 else f"{failures} FAILED\n")
-    _emit(args, "".join(lines))
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    return "".join(lines), EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -15,16 +15,17 @@ consumes s_dft, which for every B2[g] set satisfies s_dft <= (2g-1) |A|^2.
 F(g, N), the largest B2[g] subset of [0, N], is computed by one sequential
 depth-first branch and bound over increasing elements.  Each node holds its
 set as a bitmask and its pairwise sums as g bitmask layers (see _extend, the
-one B2[g] test here), the state that the enumeration of all B2[g] sets walks
-too.  A table is one g: its rows F(g, 0), F(g, 1), ... are built in turn,
-and each row prunes with the ones before it: the elements >= x of a B2[g]
-set, shifted down by x, are a B2[g] set in [0, N - x].  Once a set of
-F(g, N - 1) elements is found, only a set that contains N can be larger, so
-a node whose set cannot take N is dropped.  Ties are broken toward the
-lexicographically smallest maximal witness.
+one B2[g] test here), or N // 2 + 1 layers when g is larger: no sum in
+[0, N] has more representations.  A table is one g: its rows F(g, 0),
+F(g, 1), ... are built in turn, and each row prunes with the ones before
+it: the elements >= x of a B2[g] set, shifted down by x, are a B2[g] set in
+[0, N - x].  Once a set of F(g, N - 1) elements is found, only a set that
+contains N can be larger, so a node whose set cannot take N is dropped.
+Ties are broken toward the lexicographically smallest maximal witness.
 
-The s_dft lemma scan walks the same bitmask state once for every N, with
-s_dft in integers (see sdft_inequality_scan).
+The s_dft lemma scan, the library's one walk over every B2[g] set, keeps the
+same bitmask state once for every N, with s_dft in integers (see
+sdft_inequality_scan).
 """
 
 from __future__ import annotations
@@ -129,27 +130,6 @@ def d_identity_residual(a: IntSet, series: CosineSeries) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def enumerate_b2g(g: int, n: int):
-    """Every B2[g] subset of [0, n] as a tuple (the empty one included).
-
-    g and n are checked at the call.  The returned generator's DFS over
-    increasing elements prunes at violations, which yields each member
-    once, since the B2[g] family is subset-closed."""
-    if g < 1:
-        raise ValidationError(f"g must be >= 1, got {g}")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-
-    def dfs(start, elems, mask, layers):
-        yield elems
-        for x in range(start, n + 1):
-            grown = _extend(layers, mask, x)
-            if grown is not None:
-                yield from dfs(x + 1, elems + (x,), mask | 1 << x, grown)
-
-    return dfs(0, (), 0, [0] * g)
-
-
 class _BudgetHit(Exception):
     """Node budget reached; args: best size, its witness, nodes visited."""
 
@@ -190,7 +170,9 @@ def _search_row(g, n, sizes, nodes, limit):
             if grown is not None:
                 dfs(x + 1, cur + (x,), mask | 1 << x, grown)
 
-    dfs(0, (), 0, [0] * g)
+    # a sum of two elements of [0, n] has at most n // 2 + 1 representations,
+    # so any larger g admits the same sets: more layers would only cost time
+    dfs(0, (), 0, [0] * min(g, n // 2 + 1))
     return best, best_wit, nodes
 
 
@@ -219,7 +201,6 @@ def f_table(g: int, n_max: int, budget: int | None = None, stats: dict | None = 
     """
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
-    check_addressable(g, f"g = {g}")
     if n_max < 0:
         raise ValidationError(f"n must be >= 0, got {n_max}")
     if budget is not None and budget < 0:
@@ -257,18 +238,19 @@ class ScanReport(namedtuple("ScanReport", "checked violations max_ratio")):
 def sdft_inequality_scan(g: int, n_max: int) -> ScanReport:
     """Check s_dft(A) <= (2g-1) |A|^2 for every B2[g] set, every N <= n_max.
 
-    One walk over [0, n_max] with the state of enumerate_b2g, plus the
-    positive difference counts d and s = s_comb in integers: adding x adds
-    4 d(x - a) + 2 to s for each a in the set.  A set with largest element
-    m lies in [0, N] for every N from max(m, 1) to n_max, and there, by
-    s_dft = s_comb + 2 d(N)^2, its s_dft is s, or s + 2 at N = m when 0 is
-    in it.  So the check is exact, and the max ratio a fraction top / bottom
-    until the report.
+    One walk over every B2[g] subset of [0, n_max] with the sum layers of
+    the search (_extend), plus the positive difference counts d and
+    s = s_comb in integers: adding x adds 4 d(x - a) + 2 to s for each a in
+    the set.  A set with largest element m lies in [0, N] for every N from
+    max(m, 1) to n_max, and there, by s_dft = s_comb + 2 d(N)^2, its s_dft
+    is s, or s + 2 at N = m when 0 is in it.  So the check is exact, and the
+    max ratio a fraction top / bottom until the report.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if g < 1:
         raise ValidationError(f"g must be >= 1, got {g}")
+    check_addressable(n_max + 1, f"n_max = {n_max}")
     d = [0] * (n_max + 1)
     checked = violations = top = 0
     bottom = 1
@@ -295,5 +277,5 @@ def sdft_inequality_scan(g: int, n_max: int) -> ScanReport:
                 for a in elems:
                     d[x - a] -= 1
 
-    dfs((), 0, [0] * g, 0)
+    dfs((), 0, [0] * min(g, n_max // 2 + 1), 0)  # as in _search_row
     return ScanReport(checked=checked, violations=violations, max_ratio=top / bottom)

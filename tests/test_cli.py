@@ -354,7 +354,7 @@ def test_out_of_memory_exits_4(series_file, tmp_path):
         ("optimize", "--m", "100000000000000000000"),
         ("analyze", series_file, "--emit-samples", "100000000000000000000",
          "--samples-out", samples),
-        ("search", "--g", "100000000000000000000", "--n", "3"),
+        ("verify", "--suite", "lemmas", "--nmax", "100000000000000000000"),
     ]
     for argv in cases:
         proc = run_cli(*argv)
@@ -381,6 +381,11 @@ def test_search_exact_and_budget(tmp_path):
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["F"] == 4 and obj["witness"]["elems"] == [0, 1, 3, 7]
+    # a sum in [0, 3] has at most 2 representations, so a g past the address
+    # space costs what g = 2 costs
+    proc = run_cli("search", "--g", "100000000000000000000", "--n", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["witness"]["elems"] == [0, 1, 2, 3]
     proc = run_cli("search", "--g", "2", "--n", "14", "--budget", "40")
     assert proc.returncode == 4
     assert "lower bound" in proc.stderr
@@ -598,15 +603,50 @@ def test_manifest_records_effective_settings(tmp_path):
             return json.load(fh)
 
     yu = manifest("yu", "--lambda", "0.75", "--m", "10")
-    assert yu["inputs"]["tol"] == yu["tolerances"]["tol"] == TOL
+    # each setting is recorded once, in inputs
+    assert yu["inputs"]["tol"] == TOL and "tolerances" not in yu
     assert set(yu["stats"]) == {"wall_s"}  # no enclosure at finite M
     opt = manifest("optimize", "--m", "2")
     assert opt["inputs"]["max_iter"] == MAX_ITER
-    assert opt["inputs"]["grad_tol"] == opt["tolerances"]["grad_tol"] == GRAD_TOL
+    assert opt["inputs"]["grad_tol"] == GRAD_TOL and "tolerances" not in opt
     ver = manifest("verify", "--suite", "bounds")
     assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (0, 14)
     ver = manifest("verify", "--suite", "lemmas", "--seed", "4", "--nmax", "6")
     assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (4, 6)
+
+
+OPTIMIZE_STATS = [
+    "stop_reason", "iterations", "pg_norm", "evaluations", "cholesky_steps",
+    "eigh_calls",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["analyze", "SERIES"], []),
+        (["bound", "SERIES", "--n", "100", "--g", "2"], ["sizes_evaluated"]),
+        (["yu", "--lambda", "0.62", "--limit", "--tol", "1e-9"], ["m0", "half_width"]),
+        (["yu", "--lambda", "0.75", "--m", "10"], []),
+        (["optimize", "--m", "2"], OPTIMIZE_STATS),
+        (["search", "--g", "1", "--n", "7"], ["nodes"]),
+        (["verify", "--suite", "bounds"], []),
+    ],
+    ids=["analyze", "bound", "yu-limit", "yu-m", "optimize", "search", "verify"],
+)
+def test_every_manifest_has_one_shape(tmp_path, series_file, argv, keys):
+    # main times every command and writes every manifest; wall_s comes last
+    out = str(tmp_path / "result.out")
+    argv = [series_file if a == "SERIES" else a for a in argv]
+    proc = run_cli(*argv, "--out", out)
+    assert proc.returncode == 0
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert list(manifest) == [
+        "command", "inputs", "outputs", "tool_version", "timestamp", "stats",
+    ]
+    assert list(manifest["stats"]) == [*keys, "wall_s"]
+    assert manifest["stats"]["wall_s"] > 0
 
 
 def test_verify_command_passes():

@@ -15,7 +15,6 @@ from b2gbounds import (
     ValidationError,
     d_identity_residual,
     diff_profile,
-    enumerate_b2g,
     exhaustive_f,
     f_table,
     s_comb,
@@ -38,6 +37,12 @@ def brute_b2g(elems, g):
         for b in elems[i:]:
             counts[a + b] = counts.get(a + b, 0) + 1
     return all(v <= g for v in counts.values())
+
+
+def brute_sets(g, n):
+    """Every B2[g] subset of [0, n] in lexicographic order, by brute force."""
+    subsets = (c for k in range(n + 2) for c in combinations(range(n + 1), k))
+    return sorted(c for c in subsets if brute_b2g(c, g))
 
 
 def extend_b2g(elems, g):
@@ -122,30 +127,6 @@ def test_difference_identity_evaluates_w_once_per_difference(monkeypatch):
     assert len(calls) == distinct == 127
 
 
-def test_enumeration_matches_powerset():
-    for g in (1, 2):
-        for n in (0, 1, 4, 7, 10):
-            expected = set()
-            universe = range(n + 1)
-            for k in range(n + 2):
-                for combo in combinations(universe, k):
-                    if brute_b2g(combo, g):
-                        expected.add(combo)
-            got = set(enumerate_b2g(g, n))
-            assert got == expected, (g, n)
-
-
-def test_enumeration_validates_at_the_call():
-    # the checks run when enumerate_b2g is called, not on the first next()
-    with pytest.raises(ValidationError, match="g must be >= 1"):
-        enumerate_b2g(0, 5)
-    with pytest.raises(ValidationError, match="n must be >= 0"):
-        enumerate_b2g(1, -1)
-    sets = enumerate_b2g(1, 2)
-    assert next(sets) == ()
-    assert list(sets) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
-
-
 def test_exhaustive_small_cases():
     assert exhaustive_f(1, 7) == (4, IntSet((0, 1, 3, 7), 7))
     size, wit = exhaustive_f(1, 3)
@@ -157,7 +138,7 @@ def test_exhaustive_small_cases():
 def test_exhaustive_matches_enumeration_oracle():
     for g in (1, 2):
         for n in (1, 3, 6, 9, 11):
-            sets = [s for s in enumerate_b2g(g, n)]
+            sets = brute_sets(g, n)
             best_size = max(len(s) for s in sets)
             lex_first = min(s for s in sets if len(s) == best_size)
             size, wit = exhaustive_f(g, n)
@@ -185,7 +166,7 @@ def test_f_table_matches_enumeration_oracle():
     # g = 1 and every g the paper improves on (2..5), N <= 12: the B2[g]
     # subsets of [0, N] are those of [0, 12] that end at or below N
     for g in range(1, 6):
-        sets = list(enumerate_b2g(g, 12))
+        sets = brute_sets(g, 12)
         rows = f_table(g, 12)
         assert len(rows) == 13
         for _, n, size, wit in rows:
@@ -203,6 +184,16 @@ def test_search_tree_node_counts():
         stats = {}
         f_table(g, n_max, stats=stats)
         assert stats["nodes"] == nodes, (g, n_max)
+
+
+def test_g_past_half_n_adds_no_layer_cost():
+    # no sum in [0, 12] has more than 12 // 2 + 1 = 7 representations, so
+    # any g >= 7 admits the same sets with the same 7 sum layers
+    small, huge = {}, {}
+    rows = f_table(7, 12, stats=small)
+    assert [r[1:] for r in f_table(10**20, 12, stats=huge)] == [r[1:] for r in rows]
+    assert huge["nodes"] == small["nodes"] > 0
+    assert sdft_inequality_scan(10**20, 12) == sdft_inequality_scan(7, 12)
 
 
 def test_known_sidon_values():
@@ -296,7 +287,7 @@ def test_inequality_scan_small():
     report = sdft_inequality_scan(1, 8)
     assert report.violations == 0
     assert report.max_ratio <= 1.0 + 1e-12
-    expected = sum(len(list(enumerate_b2g(1, n))) for n in range(1, 9))
+    expected = sum(len(brute_sets(1, n)) for n in range(1, 9))
     assert report.checked == expected
     with pytest.raises(ValidationError):
         sdft_inequality_scan(1, 0)  # would check no set at all
@@ -311,7 +302,7 @@ def test_inequality_scan_matches_float_oracle():
         checked = violations = 0
         max_ratio = 0.0
         for n in range(1, 9):
-            for elems in enumerate_b2g(g, n):
+            for elems in brute_sets(g, n):
                 value = s_dft(IntSet(elems, n))
                 checked += 1
                 violations += value > (2 * g - 1) * len(elems) ** 2 + 1e-9
