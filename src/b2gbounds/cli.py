@@ -10,17 +10,17 @@ Subcommands
 
 This module only parses flags and prints results: library defaults and all
 arithmetic stay in the library, and b2g <cmd> --help shows every default.
-Numeric output is JSON with 17-significant-digit decimals, so repeated runs
-with identical flags are byte-identical.  Each cmd_* returns its stdout
-text and exit code, and main writes them: with --out, _emit also writes the
-text there plus a run manifest (command, the inputs actually used, outputs,
-tool version, timestamp, stats).  Every command's stats hold wall_s, the
-seconds from parsed flags to formatted text (reading input files and
-parsing counts included, writing the output not); bound adds
-sizes_evaluated, yu --limit m0 and half_width, search nodes, and optimize
-stop_reason, iterations, pg_norm, evaluations, cholesky_steps and
-eigh_calls.  The timestamp and wall_s are the only fields excluded from
-reproducibility guarantees.
+Numeric output is JSON whose floats read back as the same doubles, so
+repeated runs with identical flags are byte-identical.  Every integer flag
+is read by _parse_count.  Each cmd_* returns its stdout text and exit code,
+and main writes them: with --out, _emit also writes the text there plus a
+run manifest (command, the inputs actually used, outputs, tool version,
+timestamp, stats).  Every command's stats hold wall_s, the seconds from
+parsed flags to formatted text (reading input files included, writing the
+output not); bound adds sizes_evaluated, yu --limit m0 and half_width,
+search nodes, and optimize stop_reason, iterations, pg_norm, evaluations,
+cholesky_steps and eigh_calls.  The timestamp and wall_s are the only
+fields excluded from reproducibility guarantees.
 
 Exit codes: 0 success, 2 input error, 3 hypothesis violation,
 4 budget/tolerance exhausted or out of memory, 5 verification failure.
@@ -40,7 +40,7 @@ from datetime import datetime, timezone
 from . import __version__, checks, jsonutil
 from ._numpy import np
 from .bounds import max_size_bound
-from .combinatorics import IntSet, f_table
+from .combinatorics import f_table
 from .errors import (
     BudgetError,
     DomainError,
@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--emit-samples",
-        type=int,
+        type=_parse_count,
         default=None,
         metavar="K",
         help="also write a CSV of (t, w(t)) at K+1 uniform points on [0,1]",
@@ -122,15 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="finite-N size bound for a series")
     p.add_argument("series_file")
-    p.add_argument("--n", required=True, help="interval endpoint N")
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--n", type=_parse_count, required=True, help="interval endpoint N")
+    p.add_argument("--g", type=_parse_count, required=True)
     common(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("yu", help="one-parameter family constant")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", help="truncation order M >= 0")
+    group.add_argument("--m", type=_parse_count, help="truncation order M >= 0")
     group.add_argument("--limit", action="store_true", help="M -> infinity")
     p.add_argument(
         "--tol",
@@ -142,16 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_yu)
 
     p = sub.add_parser("optimize", help="maximize rho over the big family")
-    p.add_argument("--m", type=int, required=True, help="family order M >= 0")
+    p.add_argument("--m", type=_parse_count, required=True, help="family order M >= 0")
     p.add_argument(
         "--init",
         default="yu-like",
         help='"paper", "yu-like", "random", or a params JSON path',
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_count, default=None)
     p.add_argument(
         "--max-iter",
-        type=int,
+        type=_parse_count,
         default=MAX_ITER,
         help="cap on trust-region Newton iterations (default %(default)d)",
     )
@@ -166,9 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("search", help="exact F(g, N) by branch and bound")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--budget", type=int, default=None, help="node limit")
+    p.add_argument("--g", type=_parse_count, required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
+    p.add_argument("--budget", type=_parse_count, default=None, help="node limit")
     p.add_argument(
         "--table",
         action="store_true",
@@ -185,14 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--seed",
-        type=int,
+        type=_parse_count,
         default=0,
         help="draws the identities and lemmas samples; "
         "the bounds suite is deterministic (default %(default)d)",
     )
     p.add_argument(
         "--nmax",
-        type=int,
+        type=_parse_count,
         default=14,
         help="enumeration depth for lemma scans (default %(default)d)",
     )
@@ -205,8 +205,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- plumbing ------------------------------------------------------------
 
 
-def _parse_count(text: str, what: str) -> int:
-    """Integer flag value; scientific forms like 1e23 are read exactly."""
+def _parse_count(text: str) -> int:
+    """argparse type of every integer flag; scientific forms like 1e23 are
+    read exactly."""
     try:
         return int(text)
     except ValueError:
@@ -215,11 +216,11 @@ def _parse_count(text: str, what: str) -> int:
         value = Decimal(text)  # exact, with an exponent like 1e-999999999 unexpanded
         if value.is_finite() and value == value.to_integral_value():
             if not math.isfinite(float(value)):
-                raise InputError(f"{what} is too large, got {text!r}")
+                raise argparse.ArgumentTypeError(f"is too large, got {text!r}")
             return int(value)
     except InvalidOperation:
         pass
-    raise InputError(f"{what} must be an integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
 
 
 def _emit(args, text: str, stats: dict) -> None:
@@ -231,6 +232,9 @@ def _emit(args, text: str, stats: dict) -> None:
     if not args.out:
         return
     jsonutil.write_text_atomic(args.out, text)
+    outputs = [args.out]
+    if getattr(args, "emit_samples", None) is not None:
+        outputs.append(args.samples_out)  # the path cmd_analyze wrote
     manifest = {
         "command": args.command,
         "inputs": {
@@ -238,7 +242,7 @@ def _emit(args, text: str, stats: dict) -> None:
             for k, v in sorted(vars(args).items())
             if k not in ("func", "out", "command")
         },
-        "outputs": [os.path.abspath(args.out)],
+        "outputs": [os.path.abspath(path) for path in outputs],
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "stats": stats,
@@ -267,13 +271,14 @@ def cmd_analyze(args, stats) -> tuple[str, int]:
         path = args.samples_out or (args.out + ".samples.csv" if args.out else None)
         if path is None:
             raise InputError("--emit-samples requires --samples-out or --out")
+        args.samples_out = path  # recorded in the manifest as used
         check_addressable(args.emit_samples + 1, f"--emit-samples {args.emit_samples}")
         grid = np.arange(args.emit_samples + 1) / args.emit_samples
         values = eval_w(series, grid)
         buf = io.StringIO()
         buf.write("t,w\n")
         for t, w in zip(grid, values):
-            buf.write(f"{jsonutil.fmt17(t)},{jsonutil.fmt17(w)}\n")
+            buf.write(f"{float(t)!r},{float(w)!r}\n")
         jsonutil.write_text_atomic(path, buf.getvalue())
         obj["samples"] = os.path.abspath(path)
     return jsonutil.dumps(obj), EXIT_OK
@@ -281,13 +286,12 @@ def cmd_analyze(args, stats) -> tuple[str, int]:
 
 def cmd_bound(args, stats) -> tuple[str, int]:
     series = jsonutil.load_series(args.series_file)
-    n = _parse_count(args.n, "--n")
-    report = max_size_bound(series, n, args.g, stats=stats)
+    report = max_size_bound(series, args.n, args.g, stats=stats)
     return jsonutil.dumps(report.to_obj()), EXIT_OK
 
 
 def cmd_yu(args, stats) -> tuple[str, int]:
-    truncation = LIMIT if args.limit else _parse_count(args.m, "--m")
+    truncation = LIMIT if args.limit else args.m
     params = YuParams(lam=args.lam, truncation=truncation)
     result = yu_evaluate(params, args.tol, stats=stats)
     return jsonutil.dumps(result.to_obj()), EXIT_OK
@@ -323,8 +327,7 @@ def cmd_optimize(args, stats) -> tuple[str, int]:
 
 
 def cmd_search(args, stats) -> tuple[str, int]:
-    n = _parse_count(args.n, "--n")
-    rows = f_table(args.g, n, budget=args.budget, stats=stats)
+    rows = f_table(args.g, args.n, budget=args.budget, stats=stats)
     if args.table:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -334,8 +337,8 @@ def cmd_search(args, stats) -> tuple[str, int]:
         text = buf.getvalue()
     else:
         _, _, size, elems = rows[-1]
-        witness = jsonutil.intset_to_obj(IntSet(elems, n))
-        text = jsonutil.dumps({"g": args.g, "n": n, "F": size, "witness": witness})
+        witness = {"N": args.n, "elems": list(elems)}
+        text = jsonutil.dumps({"g": args.g, "n": args.n, "F": size, "witness": witness})
     return text, EXIT_OK
 
 

@@ -1,83 +1,30 @@
 """JSON loading/saving for the documented file formats.
 
-All floating point values are emitted with 17 significant digits
-(format(x, ".17g")), which round-trips IEEE doubles bit-exactly.  The stdlib
-json encoder cannot be told how to format floats, so a small recursive
-emitter lives here instead.
+Floats are written as Python's repr writes them, the shortest decimal that
+reads back as the same double, so every value round-trips bit-exactly
+(-0.0 and integral floats such as 1.0 included).
 
 Formats:
     series   {"terms": [{"b": <dec>, "theta": <dec>}, ...]}
     params   {"M": int, "y": [dec...], "c": [dec...]}
-    intset   {"N": int, "elems": [ints]}
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
 from .errors import InputError, ValidationError
 
 
-def fmt17(x: float) -> str:
-    """17-significant-digit decimal form of a float (bit-exact round trip)."""
-    if not math.isfinite(x):
-        raise ValidationError(f"cannot serialize non-finite value {x!r}")
-    return format(float(x), ".17g")
-
-
 def dumps(obj) -> str:
-    """Serialize dict/list/str/int/float/bool/None with 17-digit floats,
-    indented two spaces per level."""
-    out = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(obj, out, level):
-    pad = "  " * (level + 1)
-    closing = "  " * level
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt17(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(pad + json.dumps(str(k)) + ": ")
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closing + "]")
-    else:
-        # numpy scalars and similar duck-typed numbers
-        if hasattr(obj, "item"):
-            _emit(obj.item(), out, level)
-        else:
-            raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    """Serialize dict/list/str/int/float/bool/None, indented two spaces per
+    level; a non-finite float is a ValidationError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"cannot serialize: {exc}") from exc
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -191,8 +138,3 @@ def params_from_obj(obj) -> "FamilyParams":
 def load_params(path: str):
     return params_from_obj(load_json(path))
 
-
-# -- integer sets --------------------------------------------------------
-
-def intset_to_obj(a) -> dict:
-    return {"N": int(a.n), "elems": [int(e) for e in a.elems]}

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, JSON shape, determinism, manifests."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,21 @@ def test_benchmark_trace_targets_resolve():
     assert scan(1, 2).checked == 4 + 7  # B2[1] subsets of [0, 1] and [0, 2]
 
 
+def test_benchmark_commands_pass_their_output_checks(tmp_path):
+    # the benchmark's own commands and output checks (perfbench/workloads.py),
+    # run in-process; certify's set-up writes its 401-term series first
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    exec(workloads.setup_code("certify", tmp_path), {})
+    for workload in workloads.WORKLOADS:
+        for label, argv in workloads.commands(workload, 0, tmp_path):
+            proc = run_cli(*argv)
+            errors, _ = workloads.check(label, proc.returncode, proc.stdout)
+            assert errors == [], (label, proc.stderr)
+
+
 def test_package_exports_resolve():
     names = b2gbounds.__all__
     assert len(names) == len(set(names))
@@ -224,6 +241,17 @@ def test_analyze_hypothesis_gate_exits_3(tmp_path):
     assert obj["constant"] is None
 
 
+def test_integral_floats_print_as_floats(tmp_path):
+    # w0 = 1.0 and a_upper = 0.0 read back as the floats they are, not ints
+    path = tmp_path / "const.json"
+    path.write_text(SERIES_CONSTANT)
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 0
+    assert '"w0": 1.0,' in proc.stdout and '"a_upper": 0.0' in proc.stdout
+    summary = json.loads(proc.stdout)["summary"]
+    assert type(summary["w0"]) is float and type(summary["a_upper"]) is float
+
+
 @pytest.mark.parametrize(
     "text, what",
     [
@@ -257,6 +285,25 @@ def test_analyze_emit_samples(series_file, tmp_path):
     assert float(t0) == 0.0 and float(w0) == 1.0
     # K points need somewhere to land
     assert run_cli("analyze", series_file, "--emit-samples", "4").returncode == 2
+
+
+def test_analyze_manifest_lists_the_samples_csv(series_file, tmp_path):
+    out = str(tmp_path / "an.json")
+    proc = run_cli("analyze", series_file, "--emit-samples", "4", "--out", out)
+    assert proc.returncode == 0
+    samples = out + ".samples.csv"
+    assert json.loads(proc.stdout)["samples"] == samples
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["inputs"]["samples_out"] == samples
+    assert manifest["outputs"] == [out, samples]
+    assert os.path.exists(samples)
+    # without --emit-samples only the --out file is an output
+    run_cli("analyze", series_file, "--out", out)
+    with open(out + ".manifest.json") as fh:
+        manifest = json.load(fh)
+    assert manifest["inputs"]["samples_out"] is None
+    assert manifest["outputs"] == [out]
 
 
 def test_bound_command(series_file):
@@ -296,13 +343,16 @@ def test_bound_n_beyond_exact_sizes_exits_2(series_file):
     proc = run_cli("bound", series_file, "--n", "1e32", "--g", "2")
     assert proc.returncode == 2 and "2**53" in proc.stderr
     # integers past the double range are refused as too large, counts that
-    # are not finite integers as such
+    # are not finite integers as such; argparse names the flag and prints usage
     for text in ("1e400", "1e999999999"):
         proc = run_cli("bound", series_file, "--n", text, "--g", "2")
-        assert proc.returncode == 2 and "--n is too large" in proc.stderr, text
-    for text in ("nan", "inf", "1.5", "1e-999999999"):
+        assert proc.returncode == 2, text
+        assert f"argument --n: is too large, got {text!r}" in proc.stderr
+    for text in ("nan", "inf", "1.5", "1e-999999999", "abc"):
         proc = run_cli("bound", series_file, "--n", text, "--g", "2")
-        assert proc.returncode == 2 and "--n must be an integer" in proc.stderr, text
+        assert proc.returncode == 2, text
+        assert f"argument --n: must be an integer, got {text!r}" in proc.stderr
+        assert proc.stderr.startswith("usage: b2g bound")
 
 
 def test_yu_command_limit():
@@ -352,6 +402,7 @@ def test_out_of_memory_exits_4(series_file, tmp_path):
         # OverflowError; these are refused as out of memory before either
         ("yu", "--lambda", "0.75", "--m", "1e20"),
         ("optimize", "--m", "100000000000000000000"),
+        ("optimize", "--m", "1e20"),
         ("analyze", series_file, "--emit-samples", "100000000000000000000",
          "--samples-out", samples),
         ("verify", "--suite", "lemmas", "--nmax", "100000000000000000000"),
@@ -613,6 +664,9 @@ def test_manifest_records_effective_settings(tmp_path):
     assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (0, 14)
     ver = manifest("verify", "--suite", "lemmas", "--seed", "4", "--nmax", "6")
     assert (ver["inputs"]["seed"], ver["inputs"]["nmax"]) == (4, 6)
+    # a count is recorded as the integer it was read as, not as its flag text
+    search = manifest("search", "--g", "1", "--n", "1e1")
+    assert search["inputs"]["n"] == 10 and type(search["inputs"]["n"]) is int
 
 
 OPTIMIZE_STATS = [
