@@ -60,6 +60,8 @@ _TAYLOR = tuple(
     for k, last in enumerate((3, 6, 6))
 )
 _TWO_PI = 2.0 * math.pi
+# terms x points per block of eval_w: 2^16 doubles, 512 KiB
+_EVAL_ENTRIES = 2**16
 
 
 def sinc_jet(x, order: int) -> list:
@@ -200,9 +202,23 @@ def constant_from(i1: float, i2: float) -> float | None:
 
 
 def eval_w(series: CosineSeries, t) -> float | np.ndarray:
-    """w(t) = sum b_theta cos(2 pi theta t); even in t; t may be an array."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = series.coeffs @ np.cos(2.0 * math.pi * np.outer(series.freqs, t_arr))
+    """w(t) = sum b_theta cos(2 pi theta t); even in t; t may be an array,
+    and the values come back flat.
+
+    The points go through in blocks of at most _EVAL_ENTRIES terms x points
+    (one point at least), so beyond the result the memory is a few blocks'
+    worth, whatever the number of points.
+    """
+    t_arr = np.asarray(t, dtype=float).reshape(-1)
+    # a power of two of points, so that block edges do not split the groups
+    # of columns a BLAS matrix-vector kernel works through together
+    step = 1 << max(0, (_EVAL_ENTRIES // len(series)).bit_length() - 1)
+    vals = np.empty(t_arr.size)
+    for start in range(0, t_arr.size, step):
+        block = t_arr[start : start + step]
+        vals[start : start + step] = series.coeffs @ np.cos(
+            2.0 * math.pi * np.outer(series.freqs, block)
+        )
     if np.ndim(t) == 0:
         return float(vals[0])
     return vals
@@ -255,12 +271,16 @@ def fourier_coefficients(series: CosineSeries, m_max: int) -> np.ndarray:
 
     a_m = integral_{-1}^{1} w(t) exp(-i pi m t) dt, real by evenness:
     a_m = sum b_theta [sinc(pi(2 theta - m)) + sinc(pi(2 theta + m))].
+
+    The terms x (m_max + 1) matrix of brackets is filled one term's row at a
+    time, so beyond it the memory is the kernel temporaries of one row.
     """
-    m = np.arange(m_max + 1, dtype=float)
-    th = series.freqs[:, None]
-    b = series.coeffs
+    half = 0.5 * np.arange(m_max + 1, dtype=float)
+    rows = np.empty((len(series), m_max + 1))
     # S(theta -+ m/2) is sinc(pi (2 theta -+ m)) bit for bit (x2 is exact)
-    return b @ (kernel_s(th - 0.5 * m) + kernel_s(th + 0.5 * m))
+    for row, th in zip(rows, series.freqs):
+        np.add(kernel_s(th - half), kernel_s(th + half), out=row)
+    return series.coeffs @ rows
 
 
 def curvature_bound(series: CosineSeries) -> float:

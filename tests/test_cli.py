@@ -64,6 +64,42 @@ def test_version_flag():
     assert [m for m in imported if m.partition(".")[0] == "numpy"] == []
 
 
+# A fresh interpreter starts each b2g process and prints the peak resident
+# set that os.wait4 reports for it: a child started from the test process
+# itself would count that process's pages, about 100 MiB under pytest, in
+# its own peak.
+_RSS_PROBE = """
+import os, subprocess, sys
+argv = [sys.executable, "-m", "b2gbounds.cli", *sys.argv[1:]]
+proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, argv
+print(usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(*argv):
+    """Peak resident set of one b2g process run to completion, in MiB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=90,
+    )
+    assert proc.returncode == 0, (argv, proc.stderr)
+    return int(proc.stdout) / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_yu_and_verify_peak_memory_over_a_numpy_process():
+    # yu --limit loads numpy and sums a head of a few thousand terms, so it
+    # is the floor of a b2g process that computes; yu --m 1e6 holds one
+    # array of 10^6 + 1 doubles (7.6 MiB) and verify its checks' temporaries
+    floor = _peak_rss_mib("yu", "--lambda", "0.75", "--limit")
+    for argv in (("yu", "--lambda", "0.75315", "--m", "1e6"), ("verify", "--seed", "0")):
+        assert _peak_rss_mib(*argv) - floor <= 11, argv
+
+
 def test_cli_import_leaves_out_scipy():
     # scipy is a test dependency only; importing it (and the numpy.testing
     # and numpy.f2py it pulls in) would cost every b2g process ~0.3 s.

@@ -6,6 +6,7 @@ high-precision mpmath evaluation rather than against the formulas themselves.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -21,8 +22,10 @@ from b2gbounds import (
     curvature_bound,
     eval_w,
     fourier_coefficients,
+    initial_params,
     integral_jet,
     summarize,
+    to_series,
 )
 from b2gbounds.series import (
     _TAYLOR,
@@ -210,6 +213,26 @@ def test_eval_w_scalar_and_array_agree():
     assert isinstance(eval_w(series, 0.3), float)
 
 
+def test_eval_w_holds_blocks_of_points():
+    # 401 terms at 10^4 + 1 points: the samples are 80 kB and a block of
+    # 2^16 terms x points 0.5 MB, where the whole matrix would be 32 MB
+    series = to_series(initial_params(400, "paper"))
+    grid = np.arange(10001) / 10000
+    eval_w(series, grid[:10])  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        values = eval_w(series, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    # the blocks sum each point's terms in another order than one product
+    # over the whole matrix: 2 n u sum b bounds the gap of any two orders
+    whole = series.coeffs @ np.cos(2.0 * math.pi * np.outer(series.freqs, grid))
+    slack = 2 * len(series) * 2.0**-53 * float(np.sum(series.coeffs))
+    assert np.max(np.abs(values - whole)) <= slack
+
+
 def test_eval_w_is_even_and_w0_is_mass():
     series = CosineSeries([(0.7, 0.3), (1.1, 4.2), (0.2, 0.0)])
     for t in np.linspace(0, 2, 41):
@@ -305,6 +328,24 @@ def test_fourier_coefficients_vectorized_matches_scalar(rng):
     series = make_series(rng, k_max=6)
     coeffs = fourier_coefficients(series, 64)
     assert coeffs.shape == (65,)
+    # the rows filled one term at a time are the broadcast matrix, bit for bit
+    half = 0.5 * np.arange(65.0)
+    th = series.freqs[:, None]
+    matrix = kernel_s(th - half) + kernel_s(th + half)
+    assert np.array_equal(coeffs, series.coeffs @ matrix)
+
+
+def test_fourier_coefficients_hold_one_matrix():
+    # 6 terms x 20 001 coefficients is 0.96 MB, one row's kernel temporaries
+    # about 1.1 MB more; the whole matrix's temporaries would pass the bound
+    series = CosineSeries([(1.0 / (j + 1), 0.7 * j + 0.1) for j in range(6)])
+    tracemalloc.start()
+    try:
+        fourier_coefficients(series, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_curvature_bound_dominates_sampled_smoothness(rng):

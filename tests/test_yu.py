@@ -1,7 +1,11 @@
 """One-parameter family: O(M) collapse and certified limit."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -80,28 +84,69 @@ def test_linear_time_functionals_match_generic(rng):
         assert i2 == pytest.approx(summary.i2, rel=1e-10, abs=1e-12)
 
 
-BLOCK_EDGES = (0, 1, 2, 3, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 1)
+# m + 1 on either side of 1, 2 and 4 whole blocks
+BLOCK_EDGES = (0, 1, 2, 3) + tuple(
+    k * _BLOCK + d for k in (1, 2, 4) for d in (-1, 0, 1)
+)
 LAMBDAS = (0.5001, 0.62, 0.75, 0.75315, 365 / 478, 0.9999)
 
 
-@pytest.mark.parametrize("m", (0, 1, _BLOCK + 1, 10**6))
+@pytest.mark.parametrize("m", (0, 1, _BLOCK + 1, 4 * _BLOCK + 1, 10**6))
 def test_i1_is_the_dot_product_of_the_weights(m):
+    # sum w^2 is np.sum over each block of weights, the block sums added in
+    # order.  Against fsum of the same squares, to first order in u = 2^-53
+    # and in units of u sum w^2: np.sum's pairwise summation of <= 2^14 terms
+    # errs by at most 18 + log2(2^14 / 128) = 25 and fsum's one rounding by
+    # 1, which makes 26; the blocks - 1 in-order additions and the product
+    # with the scale add 1 each.  The gap itself is taken exactly.
+    blocks = -(-(m + 1) // _BLOCK)
+    u = Fraction(2) ** -53
     for lam in LAMBDAS:
-        inv = 1.0 / (np.arange(m + 1, dtype=float) + lam)
-        i1 = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi) * float(inv @ inv)
-        assert yu_functionals(lam, m)[0] == i1, lam
+        w = 1.0 / (np.arange(m + 1, dtype=float) + lam)
+        scale = math.sin(2.0 * math.pi * lam) / (2.0 * math.pi)
+        in_order = 0.0
+        for start in range(0, m + 1, _BLOCK):
+            block = w[start : start + _BLOCK]
+            in_order += float(np.sum(block * block))
+        i1 = yu_functionals(lam, m)[0]
+        assert i1 == scale * in_order, lam
+        exact = Fraction(math.fsum(w * w))
+        gap = abs(Fraction(i1) - Fraction(scale) * exact)
+        assert gap <= abs(Fraction(scale)) * (26 + blocks) * u * exact, lam
 
 
 def test_functionals_hold_one_array_and_one_block():
-    # one array of 10^6 + 1 doubles is 8 MB, a block of trigamma temporaries
-    # a few MB more; a second array of m + 1 doubles would pass the bound
+    # one array of 10^6 + 1 doubles is 8 MB, the trigamma temporaries of a
+    # block of 2^14 indices about 1 MB; those of a block of 2^16 would pass
+    # the bound
     tracemalloc.start()
     try:
         yu_functionals(0.75315, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 9.5e6
+
+
+def test_functionals_do_not_depend_on_the_blas_thread_count():
+    # every sum is np.sum in a fixed order, so no BLAS call splits it by thread
+    code = (
+        "from b2gbounds.yu import yu_functionals\n"
+        "print([x.hex() for x in yu_functionals(0.75315, 20000)])"
+    )
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
 
 
 def _long_double_constant(lam, m):
@@ -125,7 +170,7 @@ def _long_double_constant(lam, m):
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
 )
-@pytest.mark.parametrize("m", BLOCK_EDGES + (2 * _BLOCK, 10**5, 10**6))
+@pytest.mark.parametrize("m", BLOCK_EDGES + (8 * _BLOCK, 10**5, 10**6))
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_round_slack_covers_finite_truncation(lam, m):
     # the error_bound of a finite truncation is ROUND_SLACK alone; every m
